@@ -132,7 +132,8 @@ void register_builtin_processes(ProcessRegistry& r) {
               static_cast<std::uint32_t>(p.get_u64("tokens", 2));
           return std::make_unique<CoalescingRW>(
               g, spread_token_starts(g.num_vertices(), k, start_vertex(g, p)));
-        });
+        },
+        /*token=*/true);
   r.add("coalescing-ewalk", "[--tokens K] [--rule R] [--start V]",
         "K unvisited-edge-preferring tokens merging on collision",
         [](const Graph& g, const ParamMap& p, Rng& rng) -> std::unique_ptr<WalkProcess> {
@@ -141,7 +142,8 @@ void register_builtin_processes(ProcessRegistry& r) {
           return std::make_unique<CoalescingEWalk>(
               g, spread_token_starts(g.num_vertices(), k, start_vertex(g, p)),
               make_rule(p.get("rule", "uniform"), g, rng));
-        });
+        },
+        /*token=*/true);
   // PCF-evolving processes: the incoming graph is the POTENTIAL-edge base;
   // the walker steps on an owned DynamicGraph that starts empty and grows
   // as the PCF schedule (drawn from a child split of the walk stream, so
@@ -171,7 +173,8 @@ void register_builtin_processes(ProcessRegistry& r) {
           return std::make_unique<PcfCoalescingSrw>(
               g, spread_token_starts(g.num_vertices(), k, start_vertex(g, p)),
               pcf_alpha(p), pcf_time_per_step(g, p), schedule_rng);
-        });
+        },
+        /*token=*/true);
   r.add("herman", "[--tokens K odd] [--start V]",
         "Herman's protocol: odd tokens on a cycle, pairwise annihilation",
         [](const Graph& g, const ParamMap& p, Rng&) -> std::unique_ptr<WalkProcess> {
@@ -179,7 +182,8 @@ void register_builtin_processes(ProcessRegistry& r) {
               static_cast<std::uint32_t>(p.get_u64("tokens", 3));
           return std::make_unique<HermanRing>(
               g, spread_token_starts(g.num_vertices(), k, start_vertex(g, p)));
-        });
+        },
+        /*token=*/true);
 }
 
 void register_builtin_generators(GeneratorRegistry& r) {

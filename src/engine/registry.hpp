@@ -63,16 +63,20 @@ class NamedRegistry {
     std::string params_help;  ///< e.g. "--rule R --start V"
     std::string summary;      ///< one-line description
     FactoryT factory;
+    /// Processes only: the factory returns an interacting-token process
+    /// (a TokenProcess). Set at registration, so a caller can resolve a run
+    /// target from the name without constructing anything.
+    bool token = false;
   };
 
   void add(std::string name, std::string params_help, std::string summary,
-           FactoryT factory) {
+           FactoryT factory, bool token = false) {
     for (const Entry& e : entries_)
       if (e.name == name)
         throw std::invalid_argument(std::string(kind_) +
                                     " already registered: " + name);
     entries_.push_back(Entry{std::move(name), std::move(params_help),
-                             std::move(summary), std::move(factory)});
+                             std::move(summary), std::move(factory), token});
   }
 
   bool contains(const std::string& name) const {
@@ -148,6 +152,11 @@ class ProcessRegistry : public detail::NamedRegistry<RegistryProcessFactory> {
                                       const ParamMap& params, Rng& rng) const {
     return find(name).factory(g, params, rng);
   }
+
+  /// Whether `name` was registered as an interacting-token process (its
+  /// create() returns a TokenProcess); throws like create() for unknown
+  /// names.
+  bool is_token(const std::string& name) const { return find(name).token; }
 
  private:
   ProcessRegistry() : NamedRegistry("--process") {}

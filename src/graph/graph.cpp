@@ -40,12 +40,18 @@ Graph Graph::from_edges(Vertex n, std::vector<Endpoints>&& edges) {
   // fill, offsets_[v] holds the END of v's bucket, i.e. the start of v+1's,
   // so one backward shift restores the CSR offsets — no cursor vector).
   // A self-loop writes its two slots back-to-back; the census below and
-  // other_endpoint rely on that adjacency.
+  // other_endpoint rely on that adjacency. Both slot indices are in hand
+  // here, so the twin table is filled in the same pass.
   g.slots_.resize(2 * g.edges_.size());
+  g.twin_.resize(2 * g.edges_.size());
   for (EdgeId e = 0; e < g.edges_.size(); ++e) {
     const auto [u, v] = g.edges_[e];
-    g.slots_[g.offsets_[u]++] = Slot{v, e};
-    g.slots_[g.offsets_[v]++] = Slot{u, e};
+    const std::uint32_t su = g.offsets_[u]++;
+    const std::uint32_t sv = g.offsets_[v]++;
+    g.slots_[su] = Slot{v, e};
+    g.slots_[sv] = Slot{u, e};
+    g.twin_[su] = sv;
+    g.twin_[sv] = su;
   }
   for (Vertex v = n; v > 0; --v) g.offsets_[v] = g.offsets_[v - 1];
   g.offsets_[0] = 0;

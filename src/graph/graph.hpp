@@ -80,6 +80,14 @@ class Graph {
   }
   std::uint32_t slot_offset(Vertex v) const noexcept { return offsets_[v]; }
 
+  /// Global index of the same edge's slot at the other endpoint: for the
+  /// slot at global index s (slot_index(v, k)) carrying edge e from v to w,
+  /// twin(s) is the global index of the slot carrying e in w's row, and
+  /// twin(twin(s)) == s. A self-loop's two slots are adjacent in one row
+  /// and twin each other. This is what lets the E-process retire an edge at
+  /// both endpoints without touching any array indexed by edge id.
+  std::uint32_t twin(std::uint32_t s) const noexcept { return twin_[s]; }
+
   Endpoints endpoints(EdgeId e) const noexcept { return edges_[e]; }
 
   /// The endpoint of e that is not `from` (== from for a self-loop).
@@ -110,6 +118,13 @@ class Graph {
     return static_cast<double>(degree(v)) / (2.0 * static_cast<double>(num_edges()));
   }
 
+  /// Bytes held by the graph's arrays (offsets, slots, twins, edge list) —
+  /// the CSR's resident size, which the serving store's byte budget meters.
+  std::uint64_t bytes() const noexcept {
+    return offsets_.size() * sizeof(std::uint32_t) + slots_.size() * sizeof(Slot) +
+           twin_.size() * sizeof(std::uint32_t) + edges_.size() * sizeof(Endpoints);
+  }
+
   /// Hints the hardware to pull v's adjacency into cache: the offsets_ entry
   /// and the head of the slot row. The slot-row address depends on the
   /// offsets_ load, so that prefetch issues once the (usually cheap) offset
@@ -131,6 +146,7 @@ class Graph {
   Vertex n_ = 0;
   std::vector<std::uint32_t> offsets_;  // size n_+1
   std::vector<Slot> slots_;             // size 2m
+  std::vector<std::uint32_t> twin_;     // size 2m, see twin()
   std::vector<Endpoints> edges_;        // size m
   std::uint32_t min_degree_ = 0;
   std::uint32_t max_degree_ = 0;

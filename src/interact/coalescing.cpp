@@ -44,9 +44,10 @@ void CoalescingEWalk::step(Rng& rng) {
   const Vertex v = tokens_.position(t);
   Vertex to;
   if (blue_.blue_count(v) > 0) {
-    const Slot chosen = choose_blue_slot(blue_, *g_, v, *rule_, uniform_rule_,
-                                         cover_, steps_, rng);
-    blue_.mark_edge_visited(*g_, chosen.edge);
+    const Slot chosen =
+        blue_.take(*g_, v,
+                   choose_blue_position(blue_, *g_, v, *rule_, uniform_rule_,
+                                        cover_, steps_, rng));
     cover_.visit_edge(chosen.edge, steps_);
     to = chosen.neighbor;
     ++blue_steps_;

@@ -53,10 +53,7 @@ std::vector<std::string> declared_keys(const std::string& params_help) {
 }  // namespace
 
 std::uint64_t CachedGraph::bytes() const noexcept {
-  const std::uint64_t n = graph_.num_vertices();
-  const std::uint64_t m = graph_.num_edges();
-  // offsets: (n+1) u32; slots: 2m Slot (8 bytes); edges: m Endpoints (8).
-  return (n + 1) * 4 + 2 * m * 8 + m * 8 + sizeof(CachedGraph);
+  return graph_.bytes() + sizeof(CachedGraph);
 }
 
 const GraphAnalysis& CachedGraph::analysis(bool* hit) const {

@@ -70,8 +70,8 @@ class CachedGraph {
   /// Whether the graph is connected (decided once, at construction).
   bool connected() const noexcept { return connected_; }
 
-  /// Estimated resident bytes of the CSR (offsets + slots + edge list);
-  /// what the store's byte budget meters.
+  /// Resident bytes of the entry: every CSR array (Graph::bytes) plus this
+  /// wrapper; what the store's byte budget meters.
   std::uint64_t bytes() const noexcept;
 
   /// The analysis block, computed on first call (spectral power iteration,

@@ -140,21 +140,18 @@ RunResult execute_run(const RunRequest& req, GraphStore* store) {
     out.graph = cached;
     const Graph& g = cached->graph();
 
-    // Resolve the target from a probe construction, exactly as the CLI did:
-    // token processes default to coalescence, and a coalescence target on a
-    // non-token process is rejected on this thread, not inside a worker.
+    // Resolve the target from the registry's token flag: token processes
+    // default to coalescence, and a coalescence target on a non-token
+    // process is rejected on this thread, not inside a worker. Bad process
+    // params surface from the trials' own construction, which run_trials
+    // rethrows here.
+    const bool is_token = ProcessRegistry::instance().is_token(req.process);
     RunTarget target = req.target;
-    {
-      Rng probe_rng(req.seed);
-      auto probe =
-          ProcessRegistry::instance().create(req.process, g, req.params, probe_rng);
-      const bool is_token = dynamic_cast<TokenProcess*>(probe.get()) != nullptr;
-      if (target == RunTarget::kAuto)
-        target = is_token ? RunTarget::kCoalescence : RunTarget::kVertices;
-      if (target == RunTarget::kCoalescence && !is_token)
-        throw std::invalid_argument(
-            "--target coalescence needs an interacting-token process");
-    }
+    if (target == RunTarget::kAuto)
+      target = is_token ? RunTarget::kCoalescence : RunTarget::kVertices;
+    if (target == RunTarget::kCoalescence && !is_token)
+      throw std::invalid_argument(
+          "--target coalescence needs an interacting-token process");
     out.target = target;
 
     run_request_trials(req, g, out);

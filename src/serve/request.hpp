@@ -95,7 +95,7 @@ struct RunResult {
 RunRequest run_request_from_params(const ParamMap& params);
 
 /// Executes a run: graph from `store` (or a private construction when
-/// `store` is null), target resolved via a probe process, then
+/// `store` is null), target resolved from the registry's token flag, then
 /// `req.trials` trials through run_trials with per-trial streams derived
 /// from req.seed. Never throws — failures come back as ok == false with
 /// the exception message in `error`, so one bad request cannot kill a

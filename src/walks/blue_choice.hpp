@@ -23,23 +23,23 @@
 
 namespace ewalk {
 
-/// Chooses among the blue slots of v (blue_count(v) >= 1 required).
-/// `uniform_rule` is rule.uniform_over_candidates(), hoisted by the caller
-/// at construction so the hot path pays no per-step virtual query.
-inline Slot choose_blue_slot(const BluePartition& blue, const Graph& g,
-                             Vertex v, UnvisitedEdgeRule& rule,
-                             bool uniform_rule, const CoverState& cover,
-                             std::uint64_t steps, Rng& rng) {
+/// Chooses a position in v's blue prefix (blue_count(v) >= 1 required); the
+/// caller takes it with BluePartition::take. `uniform_rule` is
+/// rule.uniform_over_candidates(), hoisted by the caller at construction so
+/// the hot path pays no per-step virtual query.
+inline std::uint32_t choose_blue_position(const BluePartition& blue,
+                                          const Graph& g, Vertex v,
+                                          UnvisitedEdgeRule& rule,
+                                          bool uniform_rule,
+                                          const CoverState& cover,
+                                          std::uint64_t steps, Rng& rng) {
   const std::uint32_t b = blue.blue_count(v);
-  if (uniform_rule) {
-    const std::uint32_t p = static_cast<std::uint32_t>(rng.uniform(b));
-    return blue.blue_slot(g, v, p);
-  }
+  if (uniform_rule) return static_cast<std::uint32_t>(rng.uniform(b));
   const EProcessView view(g, cover, blue, steps);
   const std::uint32_t idx = rule.choose_index(view, v, b, rng);
   if (idx >= b)
     throw std::logic_error("UnvisitedEdgeRule returned out-of-range index");
-  return blue.blue_slot(g, v, idx);
+  return idx;
 }
 
 }  // namespace ewalk

@@ -10,7 +10,7 @@ namespace {
 
 // Adapts the static-path machinery (BluePartition + UnvisitedEdgeRule +
 // CoverState) to the BlueIndexT seam of eprocess_transition. take_blue
-// performs choose -> mark -> visit_edge in the exact historical order, so
+// performs choose -> take -> visit_edge in the exact historical order, so
 // the instantiation is operation-for-operation identical to the pre-seam
 // step body (pinned by the golden hashes in perf_regression_test).
 struct StaticBlueIndex {
@@ -24,9 +24,9 @@ struct StaticBlueIndex {
   std::uint32_t blue_count(Vertex v) const { return blue.blue_count(v); }
 
   Slot take_blue(Vertex v, Rng& rng) {
-    const Slot chosen =
-        choose_blue_slot(blue, g, v, rule, uniform_rule, cover, steps, rng);
-    blue.mark_edge_visited(g, chosen.edge);
+    const Slot chosen = blue.take(
+        g, v,
+        choose_blue_position(blue, g, v, rule, uniform_rule, cover, steps, rng));
     cover.visit_edge(chosen.edge, steps);
     return chosen;
   }

@@ -28,9 +28,10 @@ StepColor MultiEProcess::step(Rng& rng) {
   StepColor color;
   Vertex to;
   if (blue_.blue_count(v) > 0) {
-    const Slot chosen = choose_blue_slot(blue_, *g_, v, *rule_, uniform_rule_,
-                                         cover_, steps_, rng);
-    blue_.mark_edge_visited(*g_, chosen.edge);
+    const Slot chosen =
+        blue_.take(*g_, v,
+                   choose_blue_position(blue_, *g_, v, *rule_, uniform_rule_,
+                                        cover_, steps_, rng));
     cover_.visit_edge(chosen.edge, steps_);
     to = chosen.neighbor;
     color = StepColor::kBlue;

@@ -44,7 +44,7 @@ inline TransitionKind srw_transition(const GraphT& g, Vertex at, Rng& rng,
 /// bookkeeping) to `blue.take_blue`; otherwise fall back to the uniform SRW
 /// draw. BlueIndexT is the seam between backends — the static walk adapts
 /// BluePartition + UnvisitedEdgeRule behind it (preserving the historical
-/// choose -> mark -> visit_edge order bit-for-bit), the dynamic walk a
+/// choose -> take -> visit_edge order bit-for-bit), the dynamic walk a
 /// journal-synced visited bitmap.
 ///
 /// BlueIndexT requirements:

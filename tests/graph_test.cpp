@@ -8,9 +8,12 @@
 #include <vector>
 
 #include "graph/algorithms.hpp"
+#include "graph/dynamic_graph.hpp"
 #include "graph/graph.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "test_graphs.hpp"
+#include "util/rng.hpp"
 
 namespace ewalk {
 namespace {
@@ -159,6 +162,60 @@ TEST(Graph, MoveBuildCensusHandlesLoopsAndParallels) {
   const Graph simple = Graph::from_edges(
       3, std::vector<Endpoints>{{0, 1}, {1, 2}, {2, 0}});
   EXPECT_TRUE(simple.is_simple());
+}
+
+// The twin-slot invariants every vertex-local eviction relies on, checked
+// for every slot s of g.
+void expect_twin_invariants(const Graph& g) {
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    for (std::uint32_t k = 0; k < g.degree(v); ++k) {
+      const std::uint32_t s = g.slot_index(v, k);
+      const std::uint32_t t = g.twin(s);
+      ASSERT_LT(t, 2 * g.num_edges()) << "slot " << s;
+      EXPECT_EQ(g.twin(t), s) << "slot " << s;
+      const Slot& here = g.slot(v, k);
+      const Vertex w = here.neighbor;
+      // t lies in w's row, carries the same edge and points back at v.
+      ASSERT_GE(t, g.slot_offset(w)) << "slot " << s;
+      ASSERT_LT(t, g.slot_offset(w) + g.degree(w)) << "slot " << s;
+      const Slot& there = g.slot(w, t - g.slot_offset(w));
+      EXPECT_EQ(there.edge, here.edge) << "slot " << s;
+      EXPECT_EQ(there.neighbor, v) << "slot " << s;
+      // A self-loop's two slots are adjacent in v's row.
+      if (w == v) {
+        EXPECT_TRUE(t == s + 1 || s == t + 1) << "slot " << s;
+      }
+    }
+  }
+}
+
+TEST(Graph, TwinInvariantsOnMultigraph) {
+  const Graph g = test::messy_multigraph();
+  ASSERT_TRUE(g.has_self_loops());
+  ASSERT_TRUE(g.has_parallel_edges());
+  expect_twin_invariants(g);
+}
+
+TEST(Graph, TwinInvariantsOnRandomRegular) {
+  Rng rng(42);
+  expect_twin_invariants(random_regular_pairing(500, 4, rng));
+}
+
+TEST(Graph, TwinInvariantsOnFrozenDynamicGraph) {
+  // freeze() of a graph that has seen erasures: surviving edges are
+  // renumbered, loops and parallels included.
+  DynamicGraph d(20);
+  Rng rng(7);
+  std::vector<EdgeId> ids;
+  for (int i = 0; i < 80; ++i) {
+    const Vertex u = static_cast<Vertex>(rng.uniform(20));
+    const Vertex v = i % 7 == 1 ? u : static_cast<Vertex>(rng.uniform(20));
+    ids.push_back(d.insert_edge(u, v));
+  }
+  for (std::size_t i = 0; i < ids.size(); i += 3) d.erase_edge(ids[i]);
+  const Graph g = d.freeze();
+  ASSERT_TRUE(g.has_self_loops());
+  expect_twin_invariants(g);
 }
 
 TEST(GraphBuilder, BuildTwiceFromLvalueThenMoveFromRvalue) {

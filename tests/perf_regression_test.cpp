@@ -1,6 +1,6 @@
 // Stream-identity regression suite for the hot-path optimisations.
 //
-// The O(1) blue eviction (BluePartition::pos_of_slot_), the batched
+// The O(1) blue eviction (BluePartition::take), the batched
 // step_many driving, and the persistent run_trials thread pool are all
 // required to be *bit-for-bit* invisible: same RNG draws, same
 // trajectories, same samples as the original per-step/per-scan/per-spawn
@@ -38,6 +38,7 @@
 #include "walks/multi_eprocess.hpp"
 #include "walks/rules.hpp"
 #include "walks/srw.hpp"
+#include "test_graphs.hpp"
 
 namespace ewalk {
 namespace {
@@ -57,18 +58,7 @@ struct Hasher {
   }
 };
 
-// A connected multigraph with self-loops and parallel edges: the cases where
-// blue-eviction order is subtle (a self-loop occupies two slots of the same
-// vertex; parallel edges are distinct edge ids in neighbouring slots).
-Graph messy_multigraph() {
-  const Vertex n = 60;
-  GraphBuilder b(n);
-  for (Vertex v = 0; v < n; ++v) b.add_edge(v, (v + 1) % n);  // base cycle
-  for (Vertex v = 0; v < n; v += 5) b.add_edge(v, (v + 1) % n);  // parallel
-  for (Vertex v = 0; v < n; v += 7) b.add_edge(v, v);            // self-loop
-  for (Vertex v = 0; v < n; v += 3) b.add_edge(v, (v + 13) % n);  // chords
-  return b.build();
-}
+using test::messy_multigraph;
 
 // ---- Scenarios -------------------------------------------------------------
 //
@@ -443,32 +433,82 @@ class ReferencePartition {
   std::vector<std::uint32_t> blue_count_;
 };
 
+// Asserts that every vertex's blue prefix is the same in both partitions.
+void expect_same_prefixes(const BluePartition& fast,
+                          const ReferencePartition& ref, const Graph& g) {
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    ASSERT_EQ(fast.blue_count(v), ref.blue_count(v)) << "vertex " << v;
+    for (std::uint32_t q = 0; q < fast.blue_count(v); ++q) {
+      ASSERT_EQ(fast.blue_slot(g, v, q).edge, ref.blue_slot(g, v, q).edge)
+          << "vertex " << v << " position " << q;
+    }
+  }
+}
+
+// The position edge e holds in the blue prefix of its first endpoint — how
+// the test turns "visit edge e" into the (vertex, position) a walk hands to
+// BluePartition::take. For a self-loop this is the slot nearer the front.
+std::uint32_t blue_position_of(const BluePartition& blue, const Graph& g,
+                               EdgeId e) {
+  const Vertex u = g.endpoints(e).u;
+  for (std::uint32_t p = 0; p < blue.blue_count(u); ++p)
+    if (blue.blue_slot(g, u, p).edge == e) return p;
+  ADD_FAILURE() << "edge " << e << " not blue at its first endpoint";
+  return 0;
+}
+
 TEST(BluePartitionIdentity, MatchesReferenceScanMoveForMoveOnMultigraph) {
   const Graph g = messy_multigraph();
   BluePartition fast(g);
   ReferencePartition ref(g);
   Rng rng(2718);
 
-  // Evict edges one at a time in a random order, from a random blue vertex's
-  // prefix, comparing the full blue prefix of every vertex after each move
-  // (self-loops evict two slots of one vertex; parallel edges are distinct
-  // edge ids at the same endpoints).
+  // Take edges one at a time in a random order, each from its first
+  // endpoint's prefix, comparing the full blue prefix of every vertex after
+  // each move (self-loops evict two slots of one vertex; parallel edges are
+  // distinct edge ids at the same endpoints).
   std::vector<EdgeId> edges(g.num_edges());
   for (EdgeId e = 0; e < g.num_edges(); ++e) edges[e] = e;
   rng.shuffle(std::span<EdgeId>(edges));
 
   for (const EdgeId e : edges) {
-    fast.mark_edge_visited(g, e);
+    const Vertex u = g.endpoints(e).u;
+    const std::uint32_t p = blue_position_of(fast, g, e);
+    const Slot expected = fast.blue_slot(g, u, p);
+    const Slot taken = fast.take(g, u, p);
+    ASSERT_EQ(taken.edge, e);
+    ASSERT_EQ(taken.edge, expected.edge) << "edge " << e;
+    ASSERT_EQ(taken.neighbor, expected.neighbor) << "edge " << e;
     ref.mark_edge_visited(g, e);
-    for (Vertex v = 0; v < g.num_vertices(); ++v) {
-      ASSERT_EQ(fast.blue_count(v), ref.blue_count(v)) << "vertex " << v;
-      for (std::uint32_t p = 0; p < fast.blue_count(v); ++p) {
-        ASSERT_EQ(fast.blue_slot(g, v, p).edge, ref.blue_slot(g, v, p).edge)
-            << "vertex " << v << " position " << p;
-      }
-    }
+    expect_same_prefixes(fast, ref, g);
   }
   for (Vertex v = 0; v < g.num_vertices(); ++v) EXPECT_EQ(fast.blue_count(v), 0u);
+}
+
+TEST(BluePartitionIdentity, TakeFromEitherEndOrLoopSlotMatchesReference) {
+  // A walk may take an edge from either endpoint, and a self-loop from
+  // either of its two slots; the resulting partition must not depend on
+  // which (the self-loop's front slot is always evicted first).
+  const Graph g = messy_multigraph();
+  BluePartition fast(g);
+  ReferencePartition ref(g);
+  Rng rng(31415);
+  std::vector<EdgeId> edges(g.num_edges());
+  for (EdgeId e = 0; e < g.num_edges(); ++e) edges[e] = e;
+  rng.shuffle(std::span<EdgeId>(edges));
+
+  for (const EdgeId e : edges) {
+    const auto [a, b] = g.endpoints(e);
+    const Vertex at = rng.uniform(2) == 0 ? a : b;
+    std::vector<std::uint32_t> positions;
+    for (std::uint32_t p = 0; p < fast.blue_count(at); ++p)
+      if (fast.blue_slot(g, at, p).edge == e) positions.push_back(p);
+    ASSERT_EQ(positions.size(), a == b ? 2u : 1u) << "edge " << e;
+    const std::uint32_t p = positions[rng.uniform(positions.size())];
+    ASSERT_EQ(fast.take(g, at, p).edge, e);
+    ref.mark_edge_visited(g, e);
+    expect_same_prefixes(fast, ref, g);
+  }
 }
 
 // (The FillCandidatesMatchesBlueSlotEnumeration test retired with the

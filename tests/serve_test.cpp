@@ -17,6 +17,8 @@
 #include <vector>
 
 #include "engine/registry.hpp"
+#include "engine/token_process.hpp"
+#include "graph/generators.hpp"
 #include "serve/graph_store.hpp"
 #include "serve/protocol.hpp"
 #include "serve/request.hpp"
@@ -224,6 +226,27 @@ TEST(GraphStoreTest, EvictsLruUnderByteBudget) {
   EXPECT_EQ(store.stats().misses, 3u);
 }
 
+TEST(GraphStoreTest, BytesCountEveryCsrArray) {
+  // The byte budget meters every array the CSR holds — offsets, slots, the
+  // twin table and the edge list — so a new per-slot array cannot slip
+  // past --cache-bytes.
+  GraphStore store;
+  ParamMap params;
+  params.set("n", "128");
+  params.set("r", "4");
+  const auto cached = store.acquire("regular", params, 5);
+  const Graph& g = cached->graph();
+  const std::uint64_t n = g.num_vertices();
+  const std::uint64_t m = g.num_edges();
+  const std::uint64_t expected = (n + 1) * sizeof(std::uint32_t) +
+                                 2 * m * sizeof(Slot) +
+                                 2 * m * sizeof(std::uint32_t) +
+                                 m * sizeof(Endpoints);
+  EXPECT_EQ(g.bytes(), expected);
+  EXPECT_EQ(cached->bytes(), expected + sizeof(CachedGraph));
+  EXPECT_EQ(store.stats().bytes, cached->bytes());
+}
+
 TEST(GraphStoreTest, SingleFlightUnderConcurrency) {
   // N concurrent acquires of one cold key: exactly one construction, the
   // rest are (possibly coalesced) hits — and the counters are a pure
@@ -306,6 +329,67 @@ TEST(ExecuteRun, ErrorsComeBackAsResults) {
   EXPECT_NE(result.error.find("did you mean"), std::string::npos)
       << result.error;
   EXPECT_NE(result.error.find("eprocess"), std::string::npos) << result.error;
+}
+
+TEST(ExecuteRun, BadProcessParamsFailFromTrialWorkers) {
+  // execute_run constructs no process before the trials, so a bad process
+  // parameter surfaces from the trials' own construction — rethrown from
+  // the worker, with the factory's message — on the serial and the
+  // parallel trial paths alike.
+  for (const std::uint32_t threads : {1u, 3u}) {
+    RunRequest req;
+    req.graph = "cycle";
+    req.process = "multi-eprocess";
+    req.params = cycle_params(32);
+    req.params.set("walkers", "0");
+    req.trials = 3;
+    req.threads = threads;
+    const RunResult walkers = execute_run(req);
+    EXPECT_FALSE(walkers.ok);
+    EXPECT_EQ(walkers.error, "--walkers must be >= 1") << "threads " << threads;
+
+    req.process = "eprocess";
+    req.params = cycle_params(32);
+    req.params.set("rule", "unifrom");
+    const RunResult rule = execute_run(req);
+    EXPECT_FALSE(rule.ok);
+    EXPECT_NE(rule.error.find("did you mean"), std::string::npos) << rule.error;
+    EXPECT_NE(rule.error.find("uniform"), std::string::npos) << rule.error;
+  }
+}
+
+TEST(ExecuteRun, TargetResolvedFromRegistryTokenFlag) {
+  RunRequest req;
+  req.graph = "cycle";
+  req.params = cycle_params(32);
+  req.trials = 2;
+  req.process = "coalescing-srw";
+  const RunResult token = execute_run(req);
+  ASSERT_TRUE(token.ok) << token.error;
+  EXPECT_EQ(token.target, RunTarget::kCoalescence);
+
+  req.process = "srw";
+  const RunResult walk = execute_run(req);
+  ASSERT_TRUE(walk.ok) << walk.error;
+  EXPECT_EQ(walk.target, RunTarget::kVertices);
+
+  req.target = RunTarget::kCoalescence;
+  const RunResult rejected = execute_run(req);
+  EXPECT_FALSE(rejected.ok);
+  EXPECT_EQ(rejected.error,
+            "--target coalescence needs an interacting-token process");
+}
+
+TEST(ExecuteRun, RegistryTokenFlagMatchesConstructedProcess) {
+  // execute_run resolves the target from the flag alone, so it must agree
+  // with what every registered factory actually builds.
+  const Graph g = cycle_graph(9);
+  for (const auto& entry : ProcessRegistry::instance().entries()) {
+    Rng rng(1);
+    const auto process = entry.factory(g, ParamMap{}, rng);
+    EXPECT_EQ(entry.token, dynamic_cast<TokenProcess*>(process.get()) != nullptr)
+        << entry.name;
+  }
 }
 
 TEST(ExecuteRun, RegistrySuggestionsForGraphFamilies) {
