@@ -1,32 +1,46 @@
-// Multi-trial experiment runner.
+// The trial core and the multi-trial experiments built on it.
 //
-// The paper's Figure 1 plots the trial-mean normalised cover time (5 trials
-// per point, new random graph per trial). This module provides:
-//   * run_trials — generic parallel trial executor with per-trial
-//     deterministic RNG streams (bit-reproducible regardless of thread
-//     scheduling);
-//   * measure_cover — the one cover-time experiment: any WalkProcess
-//     factory, any graph factory, vertex or edge target;
+// Every surface that runs trials goes through one trial-execution path:
+// execute_run (the `ewalk` single-run mode and the `ewalkd` daemon,
+// serve/request.hpp), the harnesses below, and run_sweep
+// (sweep/sweep.hpp). The path has three pieces:
+//   * for_each_bundle — the one chunk scheduler: packs trials [lo, hi) into
+//     consecutive bundles of `width` and runs them inline or as the tasks
+//     of one capped TaskScope;
+//   * drive_to_target — the one kernel: drives a bundle of trials to a
+//     RunTarget (width 1 through run_until_process, the sequential
+//     reference; width > 1 through the interleaved run_trial_bundle) and
+//     turns each trial into its sample;
+//   * run_trial_plan — a RunRequest's trials end to end: one stream per
+//     trial derived from req.seed, a caller-supplied setup that builds each
+//     trial's process (and, for the harnesses, its graph) from that stream,
+//     then bundling and threads as the request asks.
+//
+// Determinism: trial t's stream is a pure function of (seed, t), and a
+// bundled trial replays the sequential check schedule, so samples are
+// bit-identical across thread counts and bundle widths.
+//
+// The harnesses (Figure 1 plots the trial-mean normalised cover time, 5
+// trials per point, a new random graph per trial):
+//   * measure_cover — any WalkProcess factory, any graph factory, vertex or
+//     edge target;
 //   * measure_eprocess_cover / measure_srw_cover — thin wrappers over
 //     measure_cover for the two walks the paper benchmarks head-to-head;
-//   * measure_coalescence — the interacting-walker mirror of measure_cover:
-//     any TokenProcess factory, driven to a token-population target,
-//     reporting coalescence and first-meeting times.
-//
-// Configuration: both experiments are configured by the canonical
-// RunRequest (serve/request.hpp) — the same struct the CLI and the ewalkd
-// server construct, so every surface agrees on field names and defaults.
-// The legacy CoverExperimentConfig / CoalescenceExperimentConfig overloads
-// survive one release as thin forwarders; migrate by renaming
-// `master_seed` -> `seed` and (for coalescence) keeping `target_tokens`.
+//   * measure_coalescence — any TokenProcess factory, driven to a
+//     token-population target, reporting coalescence and first-meeting
+//     times.
+// All of them take the canonical RunRequest (serve/request.hpp), the same
+// struct the CLI and the ewalkd server construct.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "engine/bundle.hpp"
 #include "engine/process.hpp"
 #include "engine/token_process.hpp"
 #include "graph/graph.hpp"
@@ -37,10 +51,23 @@
 
 namespace ewalk {
 
+// ---- The trial core -------------------------------------------------------
+
+/// The chunk scheduler: calls `fn(b, e)` for the consecutive bundles
+/// [b, e) of at most `width` trials (<= 1 means one trial each) that tile
+/// [lo, hi) in ascending order. With one bundle, or `threads` <= 1, the
+/// bundles run inline on the caller; otherwise each bundle is one task of a
+/// TaskScope capped at min(threads, bundles) threads (0 = hardware
+/// threads; the cap only binds on a root scope). Returns once every bundle
+/// finished and rethrows the first exception a bundle threw.
+void for_each_bundle(
+    std::uint32_t lo, std::uint32_t hi, std::uint32_t width,
+    std::uint32_t threads,
+    const std::function<void(std::uint32_t, std::uint32_t)>& fn);
+
 /// Runs `count` trials of `fn`, each with an independent stream derived from
 /// `master_seed`, with up to `threads`-way parallelism (0 => hardware
-/// default) as a TaskScope on the work-stealing Executor
-/// (util/thread_pool.hpp) — no thread spawn/teardown per call, and callers
+/// default) through for_each_bundle — one trial per task, and callers
 /// already inside a scope nest cleanly. Trial i's stream depends only on
 /// (master_seed, i), so results are bit-identical across thread counts and
 /// are returned in trial order. `fn` must be safe to call concurrently from
@@ -54,6 +81,53 @@ SummaryStats run_trials_summary(std::uint32_t count, std::uint32_t threads,
                                 std::uint64_t master_seed,
                                 const std::function<double(Rng&, std::uint32_t)>& fn);
 
+/// What drive_to_target reports for one trial.
+struct TargetOutcome {
+  double sample = 0.0;      ///< step the target was reached, else the budget
+  bool finished = false;    ///< the target was reached within the budget
+  std::uint64_t steps = 0;  ///< transitions made
+  double meeting = 0.0;     ///< coalescence: first meeting (budget if none)
+};
+
+/// The one kernel that drives trials to a target: one trial runs through
+/// run_until_process, more run interleaved through run_trial_bundle, each
+/// with its own rng, budget (BundleTrial::max_steps) and check stride. The
+/// sample is the vertex-cover step (kVertices, kAuto), the edge-cover step
+/// (kEdges), or for kCoalescence the step the population fell to
+/// `target_tokens` (the coalescence step when that is 1). A trial that
+/// misses its target contributes its budget. kCoalescence needs every
+/// process to be a TokenProcess and throws std::invalid_argument
+/// otherwise. Outcomes come back in trial order.
+std::vector<TargetOutcome> drive_to_target(std::span<const BundleTrial> trials,
+                                           RunTarget target,
+                                           std::uint32_t target_tokens);
+
+/// One trial as a TrialSetup builds it: the process, and the graph it walks
+/// on when the trial owns one (the harnesses draw a fresh graph per trial).
+/// `graph` stays null when the graph is shared and outlives the run.
+struct TrialState {
+  std::unique_ptr<Graph> graph;          ///< trial-owned graph, or null
+  std::unique_ptr<WalkProcess> process;  ///< the walk the trial drives
+};
+
+/// Builds trial t's state from trial t's private stream — the stream the
+/// trial is then driven with, so construction-time draws come first. Must be
+/// safe to call concurrently for different trials.
+using TrialSetup = std::function<TrialState(Rng&, std::uint32_t)>;
+
+/// Runs the trials of `req`: trial t gets stream t of derive_streams(seed,
+/// trials), `setup` builds its state, and the trials are driven to
+/// req.target (kAuto: vertex cover) in bundles of req.bundle_width on up to
+/// req.threads threads. Each trial's budget is req.max_steps, or
+/// default_step_budget of its process's graph when that is 0. Fills the
+/// trial fields of RunResult — target, budget (the largest trial budget),
+/// samples, stats, unfinished, step_samples, total_steps, wall_seconds, and
+/// for coalescence the meeting samples; `ok`, `id` and the graph fields are
+/// the caller's. Exceptions from `setup` propagate.
+RunResult run_trial_plan(const RunRequest& req, const TrialSetup& setup);
+
+// ---- Cover experiments ----------------------------------------------------
+
 /// What a cover-time trial should measure.
 enum class CoverTarget : std::uint8_t { kVertices, kEdges };
 
@@ -66,29 +140,9 @@ using RuleFactory = std::function<std::unique_ptr<UnvisitedEdgeRule>(const Graph
 
 /// Factory producing a fresh walk process per trial. The rng is the trial's
 /// private stream — construction-time draws (e.g. a priority rule's
-/// permutation) come out of the same stream the walk is then driven with,
-/// exactly as the legacy typed wrappers did.
+/// permutation) come out of the same stream the walk is then driven with.
 using ProcessFactory =
     std::function<std::unique_ptr<WalkProcess>(const Graph&, Rng&)>;
-
-/// \deprecated Legacy cover-experiment configuration; superseded by the
-/// canonical RunRequest (serve/request.hpp), which every surface now
-/// constructs. Kept one release as a forwarding shim — migrate by renaming
-/// `master_seed` to `seed` (the other fields map one-to-one).
-struct CoverExperimentConfig {
-  std::uint32_t trials = 5;      ///< the paper used 5 per data point
-  std::uint32_t threads = 0;     ///< 0 = hardware concurrency
-  std::uint64_t master_seed = 1; ///< root of every per-trial stream
-  std::uint64_t max_steps = 0;   ///< 0 = default_step_budget(g) (engine/budget.hpp)
-  CoverTarget target = CoverTarget::kVertices;  ///< what each trial measures
-  /// Trials interleaved per scheduler task (engine/bundle.hpp): <= 1 runs
-  /// each trial as its own task (the historical path); W > 1 packs W
-  /// consecutive trials into one round-robin bundle that hides DRAM latency
-  /// on large graphs. Samples are bit-identical for every width — each
-  /// trial keeps its own (master_seed, trial) stream and its sequential
-  /// check schedule.
-  std::uint32_t bundle_width = 1;
-};
 
 /// Cover-time samples over `trials` fresh (graph, process) pairs. Trials
 /// that fail to cover within max_steps contribute max_steps (and are
@@ -99,9 +153,9 @@ struct CoverExperimentResult {
   std::uint32_t uncovered_trials = 0;
 };
 
-/// The one generic cover experiment: a fresh graph and process per trial,
-/// driven by the engine's run_until to the request's target. Consumes the
-/// run-scheduling fields of `req` (trials, threads, seed, max_steps,
+/// The one generic cover experiment: run_trial_plan with a fresh graph and
+/// process per trial, built in that order from the trial's stream. Consumes
+/// the run-scheduling fields of `req` (trials, threads, seed, max_steps,
 /// target, bundle_width); registry/protocol fields (graph, process, params,
 /// id) are ignored here — factories already bound them. RunTarget::kAuto
 /// resolves to vertex cover; kCoalescence is rejected (use
@@ -120,38 +174,12 @@ CoverExperimentResult measure_eprocess_cover(const GraphFactory& graphs,
 CoverExperimentResult measure_srw_cover(const GraphFactory& graphs,
                                         const RunRequest& req);
 
-/// \deprecated Forwards to the RunRequest overload; removed next release.
-CoverExperimentResult measure_cover(const ProcessFactory& processes,
-                                    const GraphFactory& graphs,
-                                    const CoverExperimentConfig& config);
-
-/// \deprecated Forwards to the RunRequest overload; removed next release.
-CoverExperimentResult measure_eprocess_cover(const GraphFactory& graphs,
-                                             const RuleFactory& rules,
-                                             const CoverExperimentConfig& config);
-
-/// \deprecated Forwards to the RunRequest overload; removed next release.
-CoverExperimentResult measure_srw_cover(const GraphFactory& graphs,
-                                        const CoverExperimentConfig& config);
-
 // ---- Coalescence experiments (interacting walkers) ------------------------
 
 /// Factory producing a fresh interacting-token process per trial; the rng is
 /// the trial's private stream, exactly as for ProcessFactory.
 using TokenProcessFactory =
     std::function<std::unique_ptr<TokenProcess>(const Graph&, Rng&)>;
-
-/// \deprecated Legacy coalescence configuration; superseded by the
-/// canonical RunRequest (serve/request.hpp). Kept one release as a
-/// forwarding shim — migrate by renaming `master_seed` to `seed`
-/// (`target_tokens` keeps its name).
-struct CoalescenceExperimentConfig {
-  std::uint32_t trials = 5;         ///< samples to draw
-  std::uint32_t threads = 0;        ///< 0 = hardware concurrency
-  std::uint64_t master_seed = 1;    ///< root of every per-trial stream
-  std::uint64_t max_steps = 0;      ///< 0 = default_step_budget(g)
-  std::uint32_t target_tokens = 1;  ///< stop once population <= this
-};
 
 /// Coalescence-time samples over `trials` fresh (graph, process) pairs.
 /// Trials whose population fails to reach the target within max_steps
@@ -166,18 +194,13 @@ struct CoalescenceExperimentResult {
   std::uint32_t unfinished_trials = 0;
 };
 
-/// The interacting-walker mirror of measure_cover: a fresh graph and token
-/// process per trial, driven by the engine's run_until_process to the
-/// population target. Consumes trials, threads, seed, max_steps, and
-/// target_tokens of `req`; the target enum is ignored (this experiment is
+/// The interacting-walker mirror of measure_cover: run_trial_plan with a
+/// fresh graph and token process per trial, driven to the population
+/// target. Consumes trials, threads, seed, max_steps, target_tokens and
+/// bundle_width of `req`; the target enum is ignored (this experiment is
 /// always a coalescence run).
 CoalescenceExperimentResult measure_coalescence(
     const TokenProcessFactory& processes, const GraphFactory& graphs,
     const RunRequest& req);
-
-/// \deprecated Forwards to the RunRequest overload; removed next release.
-CoalescenceExperimentResult measure_coalescence(
-    const TokenProcessFactory& processes, const GraphFactory& graphs,
-    const CoalescenceExperimentConfig& config);
 
 }  // namespace ewalk

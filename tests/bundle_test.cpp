@@ -2,9 +2,10 @@
 // execution must be bit-identical to sequential run_until_process per
 // trial — same stopping steps, same trajectories, same rng states — for
 // every fast path (SRW, E-process, multi E-process), for mixed/generic
-// bundles, and through the covertime driver across bundle widths and
-// thread counts. Also pins the retirement semantics run_until_process
-// defines: predicate before budget, entry checks before the first step.
+// bundles, and through the trial core — execute_run, measure_cover and
+// measure_coalescence — across bundle widths and thread counts. Also pins
+// the retirement semantics run_until_process defines: predicate before
+// budget, entry checks before the first step.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,6 +18,9 @@
 #include "engine/driver.hpp"
 #include "covertime/experiment.hpp"
 #include "graph/generators.hpp"
+#include "interact/coalescing.hpp"
+#include "interact/token_system.hpp"
+#include "serve/request.hpp"
 #include "util/rng.hpp"
 #include "walks/rules.hpp"
 #include "walks/srw.hpp"
@@ -237,6 +241,96 @@ TEST(TrialBundle, MeasureCoverSamplesInvariantAcrossWidthsAndThreads) {
       const auto result = measure_cover(processes, graphs, req);
       EXPECT_EQ(result.samples, reference)
           << "width " << width << ", threads " << threads;
+    }
+  }
+}
+
+TEST(TrialBundle, ExecuteRunInvariantAcrossWidthsAndThreads) {
+  // execute_run (the CLI's single-run mode and ewalkd) honours --bundle:
+  // every width and thread count gives the width-1, 1-thread results.
+  struct Case {
+    const char* what;
+    ParamMap params;
+    RunTarget target;
+    std::uint32_t target_tokens;
+    std::uint64_t max_steps;
+  };
+  const ParamMap regular{{"n", "200"}, {"r", "4"}};
+  ParamMap eprocess = regular;
+  eprocess.set("process", "eprocess");
+  ParamMap srw = regular;
+  srw.set("process", "srw");
+  ParamMap coalescing = regular;
+  coalescing.set("process", "coalescing-srw");
+  coalescing.set("tokens", "12");
+  const std::vector<Case> cases = {
+      {"eprocess to vertices", eprocess, RunTarget::kVertices, 1, 0},
+      {"srw to edges", srw, RunTarget::kEdges, 1, 0},
+      {"coalescing-srw to 1 token", coalescing, RunTarget::kCoalescence, 1, 0},
+      {"coalescing-srw to 2 tokens", coalescing, RunTarget::kCoalescence, 2, 0},
+      // Budget below the E-process vertex cover time (about 2n here).
+      {"eprocess clamped", eprocess, RunTarget::kVertices, 1, 390}};
+  for (const Case& c : cases) {
+    RunRequest req;
+    req.graph = "regular";
+    req.process = c.params.get("process", "");
+    req.params = c.params;
+    req.trials = 7;
+    req.seed = 99;
+    req.target = c.target;
+    req.target_tokens = c.target_tokens;
+    req.max_steps = c.max_steps;
+    const RunResult reference = execute_run(req);
+    ASSERT_TRUE(reference.ok) << c.what << ": " << reference.error;
+    ASSERT_EQ(reference.samples.size(), 7u) << c.what;
+    if (c.max_steps != 0) {
+      EXPECT_GT(reference.unfinished, 0u) << c.what;
+      EXPECT_LT(reference.unfinished, 7u) << c.what;
+    }
+    for (const std::uint32_t width : {1u, 2u, 3u, 8u}) {
+      for (const std::uint32_t threads : {1u, 3u}) {
+        req.bundle_width = width;
+        req.threads = threads;
+        const RunResult r = execute_run(req);
+        ASSERT_TRUE(r.ok) << c.what << ": " << r.error;
+        EXPECT_EQ(r.samples, reference.samples)
+            << c.what << ", width " << width << ", threads " << threads;
+        EXPECT_EQ(r.step_samples, reference.step_samples)
+            << c.what << ", width " << width << ", threads " << threads;
+        EXPECT_EQ(r.meeting_samples, reference.meeting_samples)
+            << c.what << ", width " << width << ", threads " << threads;
+        EXPECT_EQ(r.unfinished, reference.unfinished)
+            << c.what << ", width " << width << ", threads " << threads;
+      }
+    }
+  }
+}
+
+TEST(TrialBundle, MeasureCoalescenceInvariantAcrossWidthsAndThreads) {
+  const GraphFactory graphs = [](Rng& rng) {
+    return random_regular_connected(96, 4, rng);
+  };
+  const TokenProcessFactory processes =
+      [](const Graph& g, Rng&) -> std::unique_ptr<TokenProcess> {
+    return std::make_unique<CoalescingRW>(
+        g, spread_token_starts(g.num_vertices(), 10, 0));
+  };
+  RunRequest req;
+  req.trials = 6;
+  req.seed = 77;
+  req.target_tokens = 2;
+  const auto reference = measure_coalescence(processes, graphs, req);
+  ASSERT_EQ(reference.samples.size(), 6u);
+  for (const std::uint32_t width : {2u, 4u, 8u}) {
+    for (const std::uint32_t threads : {1u, 3u}) {
+      req.bundle_width = width;
+      req.threads = threads;
+      const auto result = measure_coalescence(processes, graphs, req);
+      EXPECT_EQ(result.samples, reference.samples)
+          << "width " << width << ", threads " << threads;
+      EXPECT_EQ(result.meeting_samples, reference.meeting_samples)
+          << "width " << width << ", threads " << threads;
+      EXPECT_EQ(result.unfinished_trials, reference.unfinished_trials);
     }
   }
 }

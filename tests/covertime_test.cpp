@@ -150,29 +150,5 @@ TEST(MeasureCover, ReproducibleForSameSeed) {
   EXPECT_EQ(a.samples, b.samples);
 }
 
-TEST(MeasureCover, DeprecatedConfigForwardsToRunRequest) {
-  // The one-release compatibility contract: the legacy config overload must
-  // produce bit-identical samples to the RunRequest overload it forwards to
-  // (master_seed maps to seed, the other fields one-to-one).
-  const GraphFactory graphs = [](Rng& rng) {
-    return random_regular_connected(60, 4, rng);
-  };
-  const RuleFactory rules = [](const Graph&) {
-    return std::make_unique<UniformRule>();
-  };
-  CoverExperimentConfig legacy;
-  legacy.trials = 4;
-  legacy.master_seed = 33;
-  legacy.target = CoverTarget::kEdges;
-  RunRequest req;
-  req.trials = 4;
-  req.seed = 33;
-  req.target = RunTarget::kEdges;
-  const auto old_api = measure_eprocess_cover(graphs, rules, legacy);
-  const auto new_api = measure_eprocess_cover(graphs, rules, req);
-  EXPECT_EQ(old_api.samples, new_api.samples);
-  EXPECT_EQ(old_api.uncovered_trials, new_api.uncovered_trials);
-}
-
 }  // namespace
 }  // namespace ewalk

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/registry.hpp"
@@ -94,6 +95,68 @@ TEST(Protocol, ParsesRunRequestFields) {
   EXPECT_TRUE(req.run.analysis);
   EXPECT_EQ(req.run.params.get("n", ""), "128");
   EXPECT_EQ(req.run.params.get("r", ""), "4");
+}
+
+// The error run_request_from_params raises for `key` = `value`, or "" when
+// the map is accepted.
+std::string param_error(const std::string& key, const std::string& value) {
+  try {
+    run_request_from_params(ParamMap{{key, value}});
+  } catch (const std::invalid_argument& ex) {
+    return ex.what();
+  }
+  return "";
+}
+
+TEST(RunRequestParams, IntegerFieldsRejectNegativeZeroAndOverflow) {
+  // The CLI flag map: "-1" must not wrap to UINT64_MAX, values above
+  // UINT32_MAX must not truncate, and zero is no valid bundle width or
+  // token target. Each rejection names its flag.
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"trials", "0"},          {"trials", "-1"},
+      {"trials", "4294967296"}, {"threads", "-1"},
+      {"threads", "4294967296"}, {"target-tokens", "-1"},
+      {"target-tokens", "0"},   {"target-tokens", "4294967296"},
+      {"bundle", "-1"},         {"bundle", "0"},
+      {"bundle", "99999999999999999999"}, {"bundle", "wide"}};
+  for (const auto& [key, value] : bad) {
+    const std::string error = param_error(key, value);
+    EXPECT_NE(error.find("--" + key + " must be an integer in ["),
+              std::string::npos)
+        << key << "=" << value << ": '" << error << "'";
+    EXPECT_NE(error.find("'" + value + "'"), std::string::npos) << error;
+  }
+  // The boundaries themselves are accepted.
+  const RunRequest req = run_request_from_params(
+      ParamMap{{"trials", "4294967295"}, {"threads", "0"},
+               {"target-tokens", "1"}, {"bundle", "4294967295"}});
+  EXPECT_EQ(req.trials, 4294967295u);
+  EXPECT_EQ(req.threads, 0u);
+  EXPECT_EQ(req.target_tokens, 1u);
+  EXPECT_EQ(req.bundle_width, 4294967295u);
+}
+
+TEST(Protocol, RejectsOutOfRangeIntegerFields) {
+  // The same checks on a protocol line, which parses through the same map.
+  const std::string base =
+      "{\"op\":\"run\",\"graph\":\"cycle\",\"process\":\"coalescing-srw\","
+      "\"params\":{\"n\":\"64\",\"tokens\":\"8\"},";
+  for (const std::string field :
+       {"\"target-tokens\":-1", "\"target-tokens\":0", "\"bundle\":-1",
+        "\"bundle\":0", "\"trials\":4294967296"}) {
+    try {
+      parse_request(base + field + "}");
+      ADD_FAILURE() << field << " was accepted";
+    } catch (const std::invalid_argument& ex) {
+      const std::string key = field.substr(1, field.find('"', 1) - 1);
+      EXPECT_NE(std::string(ex.what()).find("--" + key + " must be"),
+                std::string::npos)
+          << ex.what();
+    }
+  }
+  EXPECT_EQ(parse_request(base + "\"target-tokens\":2,\"bundle\":3}")
+                .run.bundle_width,
+            3u);
 }
 
 TEST(Protocol, SerializeParseRoundTrip) {

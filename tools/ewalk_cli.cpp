@@ -7,7 +7,7 @@
 //         [--trials N] [--threads T] [--seed S]
 //         [--target vertices|edges|coalescence]
 //         [--start V] [--max-steps B] [--csv out.csv] [--profile]
-//         [--sweep n1,n2,...]
+//         [--sweep n1,n2,...] [--bundle W]
 //
 // (--walk is accepted as a synonym for --process, --generator for --graph.)
 //
@@ -21,10 +21,10 @@
 //   ewalk --generator regular-pairing --r 4 --process eprocess --sweep \
 //         25000,50000,100000 --trials 5 --threads 0
 //
-// Trials run through the experiment harness's run_trials on the
-// work-stealing Executor: trial t's RNG stream is a pure function of
-// (--seed, t), so --threads (and --pin) change wall time only, never the
-// reported samples.
+// Trials run through the one trial core (run_trial_plan and run_sweep over
+// covertime/experiment.hpp) on the work-stealing Executor: trial t's RNG
+// stream is a pure function of (--seed, t), so --threads, --pin and
+// --bundle change wall time only, never the reported samples.
 //
 // Graph families and walk processes are dispatched through the engine
 // registries (src/engine/registry.hpp); `ewalk --help` lists every
@@ -138,8 +138,10 @@ std::uint32_t resolve_cli_threads(const Cli& cli) {
 // Sweep mode: --sweep n1,n2,... sweeps the family's --n parameter through
 // the sweep driver — one point per size, the chosen process as its only
 // series — and emits the standard SWEEP_*.json/csv pair under bench_out/.
-int run_cli_sweep(const Cli& cli, const std::string& family,
-                  const std::string& process, std::uint32_t trials) {
+int run_cli_sweep(const Cli& cli, const RunRequest& req) {
+  const std::string& family = req.graph;
+  const std::string& process = req.process;
+  const std::uint32_t trials = req.trials;
   const std::string spec = cli.get("sweep", "");
   if (spec.empty())
     throw std::invalid_argument("--sweep needs a comma-separated size list");
@@ -190,7 +192,7 @@ int run_cli_sweep(const Cli& cli, const std::string& family,
   config.master_seed = cli.get_u64("seed", 1);
   config.max_trials = static_cast<std::uint32_t>(cli.get_u64("max-trials", 0));
   config.ci_rel_target = cli.get_double("ci-width", config.ci_rel_target);
-  config.bundle_width = static_cast<std::uint32_t>(cli.get_u64("bundle", 1));
+  config.bundle_width = req.bundle_width;
   const SweepResult result = run_sweep("cli", points, config);
 
   if (config.max_trials > 0)
@@ -223,7 +225,7 @@ int main(int argc, char** argv) {
     RunRequest req = run_request_from_params(cli.params());
 
     if (cli.has("sweep"))
-      return run_cli_sweep(cli, req.graph, req.process, req.trials);
+      return run_cli_sweep(cli, req);
 
     req.threads = resolve_cli_threads(cli);
 
