@@ -14,6 +14,8 @@
 //   * bench_out/BENCH_throughput.csv   (one row per pair)
 //   * bench_out/BENCH_throughput.json  (machine-readable; schema below)
 //
+// The JSON is compact single-line output from util/json's writer (strings
+// escaped, doubles as %.17g); the CSV spells its doubles the same way.
 // JSON schema (checked by CI's perf-smoke job):
 //   { "bench": "throughput", "version": 2, "quick": bool, "seed": u64,
 //     "chunk": u64,
@@ -48,6 +50,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <span>
 #include <string>
@@ -59,6 +62,7 @@
 #include "engine/params.hpp"
 #include "engine/registry.hpp"
 #include "graph/graph.hpp"
+#include "util/json.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -118,33 +122,24 @@ std::vector<ProcessSpec> processes() {
   };
 }
 
-/// Escapes nothing (keys are [a-z0-9-]); kept trivial on purpose.
 void write_json(const std::string& path, bool quick, std::uint64_t seed,
                 std::uint64_t chunk, const std::vector<Result>& results) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
+  JsonWriter w;
+  w.open('{').field("bench", "throughput").field("version", 2u)
+      .field("quick", quick).field("seed", seed).field("chunk", chunk)
+      .key("results").open('[');
+  for (const Result& r : results)
+    w.open('{').field("process", r.process).field("graph", r.graph)
+        .field("n", r.n).field("m", r.m).field("bundle", r.bundle)
+        .field("steps", r.steps).field("seconds", r.seconds)
+        .field("steps_per_sec", r.steps_per_sec).close('}');
+  w.close(']').close('}');
+  std::ofstream out(path, std::ios::binary);
+  if (!out) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return;
   }
-  std::fprintf(f,
-               "{\n  \"bench\": \"throughput\",\n  \"version\": 2,\n"
-               "  \"quick\": %s,\n  \"seed\": %llu,\n  \"chunk\": %llu,\n"
-               "  \"results\": [\n",
-               quick ? "true" : "false",
-               static_cast<unsigned long long>(seed),
-               static_cast<unsigned long long>(chunk));
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const Result& r = results[i];
-    std::fprintf(f,
-                 "    {\"process\": \"%s\", \"graph\": \"%s\", \"n\": %u, "
-                 "\"m\": %u, \"bundle\": %u, \"steps\": %llu, "
-                 "\"seconds\": %.6f, \"steps_per_sec\": %.1f}%s\n",
-                 r.process.c_str(), r.graph.c_str(), r.n, r.m, r.bundle,
-                 static_cast<unsigned long long>(r.steps), r.seconds,
-                 r.steps_per_sec, i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  out << w.take() << '\n';
   std::printf("wrote %s\n", path.c_str());
 }
 
@@ -177,7 +172,8 @@ int main(int argc, char** argv) {
                 r.steps_per_sec);
     csv->row({r.process, r.graph, std::to_string(r.n), std::to_string(r.m),
               std::to_string(r.bundle), std::to_string(r.steps),
-              std::to_string(r.seconds), std::to_string(r.steps_per_sec)});
+              format_json_double(r.seconds),
+              format_json_double(r.steps_per_sec)});
   };
 
   std::uint32_t pair = 0;

@@ -1,10 +1,9 @@
 // The ewalkd wire protocol: line-delimited JSON requests and responses.
 //
 // One request per line, one JSON object per request; responses are likewise
-// single-line JSON objects tagged with the request's `id`. The codec is
-// hand-rolled (the toolchain ships no JSON library and the repo takes no
-// dependencies): a small recursive-descent parser for the request side and
-// deterministic serializers for the response side.
+// compact single-line JSON objects tagged with the request's `id`. This file
+// holds the schema only: the JSON itself (parse_json, JsonWriter, json_quote,
+// format_json_double) comes from the repo's one JSON module, util/json.
 //
 // Request shape (all fields optional except a run's registry names resolve):
 //
@@ -17,54 +16,21 @@
 // the nested "params" object. Unknown top-level fields are rejected with
 // nearest-match suggestions — a typo'd "trails" must not silently run 5
 // trials. Numbers keep their literal spelling end-to-end (a 64-bit seed
-// never transits a double).
+// never transits a double); nesting deeper than kMaxJsonDepth is rejected.
 //
-// Determinism: serializers emit fields in a fixed order and format doubles
-// with %.17g (shortest round-trip not needed; 17 significant digits is
-// bit-faithful), so byte-identical results serialize to byte-identical
-// lines — golden-file diffs in CI depend on this.
+// Determinism: serializers emit fields in a fixed order with %.17g doubles,
+// so byte-identical results serialize to byte-identical lines — golden-file
+// diffs in CI and serve_test's byte golden depend on this.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "serve/graph_store.hpp"
 #include "serve/request.hpp"
+#include "util/json.hpp"
 
 namespace ewalk {
-
-/// A parsed JSON value. Numbers keep their source spelling (`raw`) so
-/// integer fidelity survives (seeds are 64-bit; a double round-trip would
-/// corrupt them); object member order is preserved for faithful round-trips.
-struct JsonValue {
-  /// The JSON value kinds.
-  enum class Type : std::uint8_t {
-    kNull,    ///< the literal null
-    kBool,    ///< true / false
-    kNumber,  ///< any number; the literal text is kept in `raw`
-    kString,  ///< a decoded string
-    kObject,  ///< member list in source order
-    kArray    ///< element list
-  };
-  Type type = Type::kNull;           ///< which kind this value is
-  bool boolean = false;                  ///< valid for kBool
-  std::string raw;                       ///< literal token for kNumber
-  std::string string;                    ///< decoded text for kString
-  std::vector<std::pair<std::string, JsonValue>> object;  ///< kObject members
-  std::vector<JsonValue> array;          ///< kArray elements
-
-  /// The value as the string a ParamMap would hold: the decoded string, the
-  /// number literal, or "true"/"false". Throws for null/object/array.
-  std::string as_param_string() const;
-};
-
-/// Parses one complete JSON value from `text` (trailing whitespace allowed,
-/// trailing garbage rejected). Throws std::invalid_argument with a byte
-/// offset on malformed input.
-JsonValue parse_json(const std::string& text);
 
 /// One decoded protocol request.
 struct ServerRequest {
@@ -87,13 +53,6 @@ ServerRequest parse_request(const std::string& line);
 /// order, params sorted). parse_request(serialize_request(r)) reproduces
 /// `r` — the round-trip property the protocol tests pin.
 std::string serialize_request(const ServerRequest& request);
-
-/// `d` formatted with %.17g — enough digits that parsing the text recovers
-/// the exact bits, so serialized samples are a faithful determinism witness.
-std::string format_json_double(double d);
-
-/// `text` as a quoted JSON string (control characters escaped).
-std::string json_quote(const std::string& text);
 
 /// The immediate acknowledgement for an accepted run:
 /// {"id":..,"status":"queued","ticket":N}.

@@ -2,125 +2,61 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <stdexcept>
 
 #include "util/csv.hpp"
+#include "util/json.hpp"
 
 namespace ewalk {
 
-namespace {
-
-// Bench-controlled names are [a-z0-9-=.]; escape the JSON specials anyway so
-// a future caller with an exotic label cannot emit malformed JSON.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) continue;  // drop control chars
-    out.push_back(c);
-  }
-  return out;
-}
-
-// %.17g round-trips doubles exactly; integral values print without noise.
-void print_double(std::FILE* f, double v) { std::fprintf(f, "%.17g", v); }
-
-}  // namespace
-
 std::string write_sweep_json(const SweepResult& result,
                              const std::string& directory) {
+  JsonWriter w;
+  w.open('{').field("sweep", result.name).field("version", 3u)
+      .field("seed", result.master_seed).field("trials", result.trials)
+      .field("max_trials", result.max_trials)
+      .field("ci_rel_target", result.ci_rel_target)
+      .field("threads", result.threads)
+      .field("reuse_graph", result.reuse_graph).field("pin", result.pinned)
+      .field("gen_seconds", result.gen_seconds)
+      .field("walk_seconds", result.walk_seconds)
+      .field("wall_seconds", result.wall_seconds)
+      .field("unit_count", result.unit_count)
+      .field("unit_seconds_min", result.unit_seconds_min)
+      .field("unit_seconds_max", result.unit_seconds_max)
+      .field("timeline_bucket_seconds", result.timeline_bucket_seconds)
+      .key("thread_timeline").open('[');
+  for (const SweepThreadTimeline& timeline : result.thread_timeline)
+    w.open('{').field("thread", timeline.thread)
+        .field("busy_seconds", timeline.busy_seconds)
+        .field("units", timeline.units).close('}');
+  w.close(']').key("points").open('[');
+  for (const SweepPointResult& point : result.points) {
+    w.open('{').field("label", point.label).key("params").open('{');
+    for (const SweepParam& param : point.params)
+      w.field(param.name, param.value);
+    w.close('}').field("gen_seconds", point.gen_seconds)
+        .key("series").open('[');
+    for (const SweepSeriesResult& sr : point.series)
+      w.open('{').field("name", sr.name).field("mean", sr.stats.mean)
+          .field("ci95", sr.stats.ci95_halfwidth())
+          .field("median", sr.stats.median).field("min", sr.stats.min)
+          .field("max", sr.stats.max)
+          .field("uncovered_trials", sr.uncovered_trials)
+          .field("trials_used", sr.trials_used)
+          .field("ci_rel_width", sr.ci_rel_width)
+          .field("walk_seconds", sr.walk_seconds)
+          .field("samples", sr.samples).close('}');
+    w.close(']').close('}');
+  }
+  w.close(']').close('}');
+
   std::filesystem::create_directories(directory);
   const std::string path = directory + "/SWEEP_" + result.name + ".json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr)
-    throw std::runtime_error("write_sweep_json: cannot open " + path);
-
-  std::fprintf(f,
-               "{\n  \"sweep\": \"%s\",\n  \"version\": 3,\n"
-               "  \"seed\": %llu,\n  \"trials\": %u,\n  \"max_trials\": %u,\n"
-               "  \"ci_rel_target\": ",
-               json_escape(result.name).c_str(),
-               static_cast<unsigned long long>(result.master_seed),
-               result.trials, result.max_trials);
-  print_double(f, result.ci_rel_target);
-  std::fprintf(f, ",\n  \"threads\": %u,\n  \"reuse_graph\": %s,\n",
-               result.threads, result.reuse_graph ? "true" : "false");
-  std::fprintf(f, "  \"pin\": %s,\n", result.pinned ? "true" : "false");
-  std::fprintf(f, "  \"gen_seconds\": ");
-  print_double(f, result.gen_seconds);
-  std::fprintf(f, ",\n  \"walk_seconds\": ");
-  print_double(f, result.walk_seconds);
-  std::fprintf(f, ",\n  \"wall_seconds\": ");
-  print_double(f, result.wall_seconds);
-  std::fprintf(f, ",\n  \"unit_count\": %u,\n  \"unit_seconds_min\": ",
-               result.unit_count);
-  print_double(f, result.unit_seconds_min);
-  std::fprintf(f, ",\n  \"unit_seconds_max\": ");
-  print_double(f, result.unit_seconds_max);
-  std::fprintf(f, ",\n  \"timeline_bucket_seconds\": ");
-  print_double(f, result.timeline_bucket_seconds);
-  std::fprintf(f, ",\n  \"thread_timeline\": [");
-  for (std::size_t i = 0; i < result.thread_timeline.size(); ++i) {
-    const SweepThreadTimeline& timeline = result.thread_timeline[i];
-    std::fprintf(f, "%s\n    {\"thread\": %u, \"busy_seconds\": [",
-                 i > 0 ? "," : "", timeline.thread);
-    for (std::size_t b = 0; b < timeline.busy_seconds.size(); ++b) {
-      if (b > 0) std::fprintf(f, ", ");
-      print_double(f, timeline.busy_seconds[b]);
-    }
-    std::fprintf(f, "],\n     \"units\": [");
-    for (std::size_t b = 0; b < timeline.units.size(); ++b)
-      std::fprintf(f, "%s%llu", b > 0 ? ", " : "",
-                   static_cast<unsigned long long>(timeline.units[b]));
-    std::fprintf(f, "]}");
-  }
-  std::fprintf(f, "%s],\n  \"points\": [\n",
-               result.thread_timeline.empty() ? "" : "\n  ");
-
-  for (std::size_t p = 0; p < result.points.size(); ++p) {
-    const SweepPointResult& point = result.points[p];
-    std::fprintf(f, "    {\"label\": \"%s\", \"params\": {",
-                 json_escape(point.label).c_str());
-    for (std::size_t i = 0; i < point.params.size(); ++i) {
-      std::fprintf(f, "%s\"%s\": ", i > 0 ? ", " : "",
-                   json_escape(point.params[i].name).c_str());
-      print_double(f, point.params[i].value);
-    }
-    std::fprintf(f, "}, \"gen_seconds\": ");
-    print_double(f, point.gen_seconds);
-    std::fprintf(f, ",\n     \"series\": [\n");
-    for (std::size_t s = 0; s < point.series.size(); ++s) {
-      const SweepSeriesResult& sr = point.series[s];
-      std::fprintf(f, "       {\"name\": \"%s\", \"mean\": ",
-                   json_escape(sr.name).c_str());
-      print_double(f, sr.stats.mean);
-      std::fprintf(f, ", \"ci95\": ");
-      print_double(f, sr.stats.ci95_halfwidth());
-      std::fprintf(f, ", \"median\": ");
-      print_double(f, sr.stats.median);
-      std::fprintf(f, ", \"min\": ");
-      print_double(f, sr.stats.min);
-      std::fprintf(f, ", \"max\": ");
-      print_double(f, sr.stats.max);
-      std::fprintf(f,
-                   ",\n        \"uncovered_trials\": %u, \"trials_used\": %u,"
-                   " \"ci_rel_width\": ",
-                   sr.uncovered_trials, sr.trials_used);
-      print_double(f, sr.ci_rel_width);
-      std::fprintf(f, ", \"walk_seconds\": ");
-      print_double(f, sr.walk_seconds);
-      std::fprintf(f, ", \"samples\": [");
-      for (std::size_t t = 0; t < sr.samples.size(); ++t) {
-        if (t > 0) std::fprintf(f, ", ");
-        print_double(f, sr.samples[t]);
-      }
-      std::fprintf(f, "]}%s\n", s + 1 < point.series.size() ? "," : "");
-    }
-    std::fprintf(f, "     ]}%s\n", p + 1 < result.points.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  std::ofstream out(path, std::ios::binary);
+  if (!out) throw std::runtime_error("write_sweep_json: cannot open " + path);
+  out << w.take() << '\n';
   return path;
 }
 
@@ -142,7 +78,7 @@ std::string write_sweep_csv(const SweepResult& result,
     for (const SweepSeriesResult& sr : point.series) {
       std::vector<std::string> row{point.label};
       for (const SweepParam& param : point.params)
-        row.push_back(std::to_string(param.value));
+        row.push_back(format_json_double(param.value));
       row.push_back(sr.name);
       for (const double v : {sr.stats.mean, sr.stats.ci95_halfwidth(),
                              sr.stats.median, sr.stats.min, sr.stats.max,
@@ -150,7 +86,7 @@ std::string write_sweep_csv(const SweepResult& result,
                              static_cast<double>(sr.trials_used),
                              sr.ci_rel_width, sr.walk_seconds,
                              point.gen_seconds})
-        row.push_back(std::to_string(v));
+        row.push_back(format_json_double(v));
       csv.row(row);
     }
   }

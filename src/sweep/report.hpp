@@ -1,6 +1,7 @@
 // Sweep result persistence and reporting.
 //
-// Every sweep emits one machine-readable JSON file,
+// Every sweep emits one machine-readable, compact single-line JSON file
+// (util/json's writer: %.17g doubles, escaped names),
 // bench_out/SWEEP_<name>.json, that CI schema-validates
 // (tools/validate_bench_json.py) and uploads as a per-commit artifact, plus
 // an optional flat CSV for quick re-plotting. The JSON carries everything a
@@ -8,9 +9,10 @@
 // the raw trial samples — so a figure can be rebuilt (or two commits
 // diffed sample-for-sample) without re-running the sweep.
 //
-// SWEEP_*.json schema, version 3 (v2 + scheduler observability: the pin
-// flag, the per-unit wall-clock spread, and the per-thread
-// throughput-over-time timeline; validated by tools/validate_bench_json.py,
+// SWEEP_*.json schema, version 3, keys in written order (v2 + scheduler
+// observability: the pin flag, the per-unit wall-clock spread, and the
+// per-thread throughput-over-time timeline; validated by
+// tools/validate_bench_json.py,
 // which still accepts v1/v2 files from older artifacts):
 //   { "sweep": str, "version": 3, "seed": u64, "trials": u32,
 //     "max_trials": u32, "ci_rel_target": f64,

@@ -1,34 +1,24 @@
 #include "util/csv.hpp"
 
-#include <iomanip>
-#include <limits>
 #include <stdexcept>
+
+#include "util/json.hpp"
 
 namespace ewalk {
 
 CsvWriter::CsvWriter(const std::string& path, std::vector<std::string> header)
     : path_(path), width_(header.size()), out_(path) {
   if (!out_) throw std::runtime_error("CsvWriter: cannot open " + path);
-  for (std::size_t i = 0; i < header.size(); ++i) {
-    if (i) out_ << ',';
-    out_ << header[i];
-  }
-  out_ << '\n';
+  row(header);
 }
 
 CsvWriter::~CsvWriter() = default;
 
 void CsvWriter::row(std::initializer_list<double> values) {
-  if (values.size() != width_) throw std::runtime_error("CsvWriter: row width mismatch");
-  bool first = true;
-  out_ << std::setprecision(std::numeric_limits<double>::max_digits10);
-  for (double v : values) {
-    if (!first) out_ << ',';
-    first = false;
-    out_ << v;
-  }
-  out_ << '\n';
-  out_.flush();
+  std::vector<std::string> cells;
+  cells.reserve(values.size());
+  for (const double v : values) cells.push_back(format_json_double(v));
+  row(cells);
 }
 
 void CsvWriter::row(const std::vector<std::string>& values) {

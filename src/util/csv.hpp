@@ -11,9 +11,9 @@
 
 namespace ewalk {
 
-/// Writes rows to a CSV file. Values are formatted with max_digits10 so
-/// round-trips are lossless. Throws std::runtime_error if the file cannot be
-/// opened.
+/// Writes rows to a CSV file. Doubles are spelled by format_json_double
+/// (%.17g) so round-trips are lossless. Throws std::runtime_error if the
+/// file cannot be opened.
 class CsvWriter {
  public:
   CsvWriter(const std::string& path, std::vector<std::string> header);

@@ -223,6 +223,110 @@ TEST(Protocol, StringEscapesRoundTrip) {
   EXPECT_EQ(back.string, "a\"b\\c\n\tA");
 }
 
+// `{"op":"ping","id":"x","a":` + `depth` '[' + `depth` ']' + `}`.
+std::string deeply_nested_line(std::size_t depth) {
+  return "{\"op\":\"ping\",\"id\":\"x\",\"a\":" + std::string(depth, '[') +
+         std::string(depth, ']') + "}";
+}
+
+TEST(Protocol, NestingDepthIsBounded) {
+  // Uncapped recursion overflows the stack near depth 20000; the cap turns
+  // any depth into an ordinary parse error.
+  EXPECT_THROW(parse_json(deeply_nested_line(100000)), std::invalid_argument);
+  try {
+    parse_json(deeply_nested_line(kMaxJsonDepth));
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& ex) {
+    EXPECT_NE(std::string(ex.what()).find("bad JSON at byte"),
+              std::string::npos)
+        << ex.what();
+  }
+  // The object plus kMaxJsonDepth - 1 arrays is exactly at the limit.
+  const JsonValue at_limit = parse_json(deeply_nested_line(kMaxJsonDepth - 1));
+  EXPECT_EQ(at_limit.object.size(), 3u);
+}
+
+TEST(Protocol, SerializersMatchByteGolden) {
+  // Byte-exact response lines. Clients, the serve-smoke golden and
+  // with_id-style splicing on the `{"id":` prefix all compare protocol
+  // bytes, so any change to the JSON writer must leave these unchanged.
+  RunRequest req;
+  req.id = "g\"1";
+  req.graph = "cycle";
+  req.process = "coalescing-srw";
+  req.params.set("n", "12");
+  req.params.set("tokens", "3");
+  req.seed = 5;
+  req.trials = 3;
+  req.analysis = true;
+  RunResult run = execute_run(req);
+  ASSERT_TRUE(run.ok) << run.error;
+  ASSERT_TRUE(run.analysis.has_value());
+  // Pin the timing and the eigen-solver's doubles so the golden depends
+  // only on the writer; 0.1 and 1/3 exercise %.17g's 17 digits.
+  run.wall_seconds = 0.1;
+  run.analysis->lambda2 = 0.1;
+  run.analysis->lambda_n = -1.0 / 3.0;
+  run.analysis->gap = 2.5e-300;
+  run.analysis->conductance_lower = 0.0;
+  run.analysis->conductance_upper = 1e21;
+  EXPECT_EQ(serialize_run_result(run),
+            R"({"id":"g\"1","status":"ok","target":"coalescence",)"
+            R"("graph":{"vertices":12,"edges":12,"connected":true,)"
+            R"("cache_hit":false},"trials":3,"budget":1019200,)"
+            R"("unfinished":0,"total_steps":171,"samples":[16,73,82],)"
+            R"("stats":{"mean":57,"stddev":35.791060336346561,)"
+            R"("std_error":20.663978319771825,"min":16,"max":82,)"
+            R"("median":73},"meeting_samples":[6,20,5],)"
+            R"("meeting_stats":{"mean":10.333333333333334,)"
+            R"("stddev":8.3864970836060824,"std_error":4.8419463487779835,)"
+            R"("min":5,"max":20,"median":6},)"
+            R"("analysis":{"lambda2":0.10000000000000001,)"
+            R"("lambda_n":-0.33333333333333331,"gap":2.5e-300,)"
+            R"("conductance_lower":0,"conductance_upper":1e+21,"girth":12,)"
+            R"("cache_hit":false},"wall_seconds":0.10000000000000001})");
+
+  RunResult failed;
+  failed.id = "e\\1";
+  failed.error = "bad \"x\"\n\x01 end";
+  EXPECT_EQ(serialize_run_result(failed),
+            R"({"id":"e\\1","status":"error",)"
+            R"("error":"bad \"x\"\n\u0001 end"})");
+
+  GraphStoreStats stats;
+  stats.hits = 1;
+  stats.misses = 2;
+  stats.evictions = 3;
+  stats.coalesced = 4;
+  stats.analysis_hits = 5;
+  stats.analysis_misses = 6;
+  stats.entries = 7;
+  stats.bytes = 18446744073709551615ull;
+  EXPECT_EQ(serialize_stats("s", stats, 8, 9),
+            R"({"id":"s","status":"stats","cache":{"hits":1,"misses":2,)"
+            R"("evictions":3,"coalesced":4,"analysis_hits":5,)"
+            R"("analysis_misses":6,"entries":7,)"
+            R"("bytes":18446744073709551615},"inflight":8,"completed":9})");
+  EXPECT_EQ(serialize_queued("q\t", 42),
+            R"({"id":"q\t","status":"queued","ticket":42})");
+  EXPECT_EQ(serialize_error("", "oops\r\n"),
+            R"({"id":"","status":"error","error":"oops\r\n"})");
+  EXPECT_EQ(serialize_status("p", "pong"),
+            R"({"id":"p","status":"pong"})");
+  EXPECT_EQ(serialize_request(parse_request(
+                "{\"op\":\"run\",\"id\":\"r\",\"graph\":\"regular\","
+                "\"process\":\"eprocess\",\"seed\":18446744073709551615,"
+                "\"target\":\"edges\",\"params\":{\"r\":\"4\",\"n\":\"64\","
+                "\"rule\":\"u\\\"x\"}}")),
+            R"({"op":"run","id":"r","graph":"regular",)"
+            R"("process":"eprocess","trials":5,"threads":1,)"
+            R"("seed":18446744073709551615,"max-steps":0,"target":"edges",)"
+            R"("target-tokens":1,"bundle":1,"analysis":false,)"
+            R"("params":{"n":"64","r":"4","rule":"u\"x"}})");
+  EXPECT_EQ(serialize_request(parse_request("{\"op\":\"ping\",\"id\":\"z\"}")),
+            R"({"op":"ping","id":"z"})");
+}
+
 // ---- GraphStore ------------------------------------------------------------
 
 ParamMap cycle_params(std::uint32_t n) {
@@ -525,6 +629,20 @@ TEST(ServerTest, MalformedRequestsDoNotKillTheDaemon) {
   // The id still routes back even when the request failed to parse.
   EXPECT_NE(lines[1].find("\"id\":\"x\""), std::string::npos);
   EXPECT_EQ(lines[3], "{\"id\":\"alive\",\"status\":\"pong\"}");
+}
+
+TEST(ServerTest, DeeplyNestedRequestAnswersErrorAndDaemonLives) {
+  Server server(ServerConfig{});
+  Collector out;
+  server.handle_line(deeply_nested_line(100000), out.sink());
+  server.handle_line("{\"op\":\"ping\",\"id\":\"alive\"}", out.sink());
+  const auto lines = out.snapshot();
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_NE(lines[0].find("\"status\":\"error\""), std::string::npos)
+      << lines[0];
+  EXPECT_NE(lines[0].find("nesting deeper than"), std::string::npos)
+      << lines[0];
+  EXPECT_EQ(lines[1], "{\"id\":\"alive\",\"status\":\"pong\"}");
 }
 
 TEST(ServerTest, AdmissionControlRejectsBeyondInflightCap) {

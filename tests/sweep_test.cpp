@@ -2,7 +2,8 @@
 // invariants — samples must be a pure function of (master_seed, point,
 // trial), never of thread count or scheduling — plus the graph-reuse
 // semantics, budget clamping, stream derivation, and the SWEEP_*.json /
-// CSV emission CI validates.
+// CSV emission CI validates (checked structurally through util/json's
+// parser, and for exact escaping and double round-trips).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -18,6 +19,7 @@
 #include "graph/generators.hpp"
 #include "sweep/report.hpp"
 #include "sweep/sweep.hpp"
+#include "util/json.hpp"
 #include "walks/rules.hpp"
 #include "walks/srw.hpp"
 
@@ -383,6 +385,38 @@ TEST(SweepScheduler, RecordsUnitSpreadAndThreadTimeline) {
   EXPECT_EQ(total_units, 16u);  // 8 units x 2 series
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+// The member `key` of JSON object `object`; fails the test when absent.
+const JsonValue& member(const JsonValue& object, const std::string& key) {
+  static const JsonValue kMissing;
+  for (const auto& [name, value] : object.object)
+    if (name == key) return value;
+  ADD_FAILURE() << "missing key: " << key;
+  return kMissing;
+}
+
+// Asserts member `key` is a number spelled `raw`.
+void expect_number(const JsonValue& object, const std::string& key,
+                   const std::string& raw) {
+  const JsonValue& value = member(object, key);
+  EXPECT_EQ(value.type, JsonValue::Type::kNumber) << key;
+  EXPECT_EQ(value.raw, raw) << key;
+}
+
+bool is_number(const JsonValue& object, const std::string& key) {
+  return member(object, key).type == JsonValue::Type::kNumber;
+}
+
+bool is_array(const JsonValue& object, const std::string& key) {
+  return member(object, key).type == JsonValue::Type::kArray;
+}
+
 TEST(SweepReport, WritesSchemaConformantJsonAndCsv) {
   SweepConfig config;
   config.trials = 2;
@@ -395,23 +429,49 @@ TEST(SweepReport, WritesSchemaConformantJsonAndCsv) {
   const std::string csv_path = write_sweep_csv(result, dir);
   EXPECT_EQ(json_path, dir + "/SWEEP_unit_test.json");
 
-  std::ifstream json(json_path);
-  ASSERT_TRUE(json.good());
-  std::stringstream buf;
-  buf << json.rdbuf();
-  const std::string body = buf.str();
-  for (const char* needle :
-       {"\"sweep\": \"unit_test\"", "\"version\": 3", "\"trials\": 2",
-        "\"max_trials\": 0", "\"ci_rel_target\": 0", "\"points\": [",
-        "\"params\": {\"n\": 60}", "\"name\": \"srw\"",
-        "\"name\": \"eprocess\"", "\"samples\": [", "\"gen_seconds\":",
-        "\"walk_seconds\":", "\"uncovered_trials\": 0",
-        "\"trials_used\": 2", "\"ci_rel_width\":", "\"pin\": false",
-        "\"unit_count\": 4", "\"unit_seconds_min\":",
-        "\"unit_seconds_max\":", "\"timeline_bucket_seconds\":",
-        "\"thread_timeline\": [", "\"busy_seconds\": [", "\"units\": ["}) {
-    EXPECT_NE(body.find(needle), std::string::npos) << "missing: " << needle;
+  ASSERT_TRUE(std::ifstream(json_path).good());
+  const JsonValue doc = parse_json(read_file(json_path));
+  ASSERT_EQ(doc.type, JsonValue::Type::kObject);
+  EXPECT_EQ(member(doc, "sweep").string, "unit_test");
+  expect_number(doc, "version", "3");
+  expect_number(doc, "trials", "2");
+  expect_number(doc, "max_trials", "0");
+  expect_number(doc, "ci_rel_target", "0");
+  EXPECT_TRUE(is_number(doc, "gen_seconds"));
+  EXPECT_TRUE(is_number(doc, "walk_seconds"));
+  EXPECT_EQ(member(doc, "pin").type, JsonValue::Type::kBool);
+  EXPECT_FALSE(member(doc, "pin").boolean);
+  expect_number(doc, "unit_count", "4");
+  EXPECT_TRUE(is_number(doc, "unit_seconds_min"));
+  EXPECT_TRUE(is_number(doc, "unit_seconds_max"));
+  EXPECT_TRUE(is_number(doc, "timeline_bucket_seconds"));
+  ASSERT_TRUE(is_array(doc, "thread_timeline"));
+  ASSERT_FALSE(member(doc, "thread_timeline").array.empty());
+  for (const JsonValue& timeline : member(doc, "thread_timeline").array) {
+    EXPECT_TRUE(is_array(timeline, "busy_seconds"));
+    EXPECT_TRUE(is_array(timeline, "units"));
   }
+
+  ASSERT_TRUE(is_array(doc, "points"));
+  const auto& points = member(doc, "points").array;
+  ASSERT_EQ(points.size(), 2u);
+  const JsonValue& params = member(points[0], "params");
+  ASSERT_EQ(params.object.size(), 1u);
+  expect_number(params, "n", "60");
+  std::vector<std::string> names;
+  for (const JsonValue& point : points) {
+    EXPECT_TRUE(is_number(point, "gen_seconds"));
+    for (const JsonValue& series : member(point, "series").array) {
+      names.push_back(member(series, "name").string);
+      EXPECT_TRUE(is_array(series, "samples"));
+      EXPECT_TRUE(is_number(series, "walk_seconds"));
+      expect_number(series, "uncovered_trials", "0");
+      expect_number(series, "trials_used", "2");
+      EXPECT_TRUE(is_number(series, "ci_rel_width"));
+    }
+  }
+  EXPECT_EQ(names,
+            (std::vector<std::string>{"srw", "eprocess", "srw", "eprocess"}));
 
   std::ifstream csv(csv_path);
   ASSERT_TRUE(csv.good());
@@ -425,6 +485,59 @@ TEST(SweepReport, WritesSchemaConformantJsonAndCsv) {
     if (!line.empty()) ++rows;
   EXPECT_EQ(rows, 4u);  // 2 points x 2 series
 
+  std::filesystem::remove_all(dir);
+}
+
+// A hand-built one-point, one-series result for the report writers.
+SweepResult crafted_result(const std::string& label, const std::string& series,
+                           double n, double ci_rel_width) {
+  SweepResult result;
+  result.name = "crafted";
+  result.trials = 1;
+  SweepPointResult point;
+  point.label = label;
+  point.params = {{"n", n}};
+  SweepSeriesResult sr;
+  sr.name = series;
+  sr.samples = {1.0};
+  sr.trials_used = 1;
+  sr.ci_rel_width = ci_rel_width;
+  point.series.push_back(sr);
+  result.points.push_back(point);
+  return result;
+}
+
+TEST(SweepReport, JsonEscapesRatherThanDropsSpecialCharacters) {
+  // Names and labels come back unchanged, quote, backslash and control
+  // characters included, so the file still says exactly what was run.
+  const std::string label = "p\"1\\a\nb\x01";
+  const std::string series = "s\x01\"\\\n";
+  const std::string dir = "sweep_test_escape_out";
+  const std::string path =
+      write_sweep_json(crafted_result(label, series, 10.0, 0.0), dir);
+  const JsonValue doc = parse_json(read_file(path));
+  const JsonValue& point = member(doc, "points").array.at(0);
+  EXPECT_EQ(member(point, "label").string, label);
+  EXPECT_EQ(member(member(point, "series").array.at(0), "name").string, series);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SweepReport, CsvDoublesRoundTripExactly) {
+  const double tiny = 1.25e-9;
+  const std::string dir = "sweep_test_csv_out";
+  const std::string path =
+      write_sweep_csv(crafted_result("p", "s", 1e6, tiny), dir);
+  std::ifstream csv(path);
+  std::string header, row;
+  std::getline(csv, header);
+  std::getline(csv, row);
+  std::vector<std::string> cells;
+  std::stringstream fields(row);
+  for (std::string cell; std::getline(fields, cell, ',');)
+    cells.push_back(cell);
+  ASSERT_EQ(cells.size(), 13u) << row;
+  EXPECT_EQ(std::stod(cells[1]), 1e6);    // n
+  EXPECT_EQ(std::stod(cells[10]), tiny);  // ci_rel_width
   std::filesystem::remove_all(dir);
 }
 
