@@ -133,7 +133,7 @@ void register_builtin_processes(ProcessRegistry& r) {
           return std::make_unique<CoalescingRW>(
               g, spread_token_starts(g.num_vertices(), k, start_vertex(g, p)));
         },
-        /*token=*/true);
+        {.token = true});
   r.add("coalescing-ewalk", "[--tokens K] [--rule R] [--start V]",
         "K unvisited-edge-preferring tokens merging on collision",
         [](const Graph& g, const ParamMap& p, Rng& rng) -> std::unique_ptr<WalkProcess> {
@@ -143,7 +143,7 @@ void register_builtin_processes(ProcessRegistry& r) {
               g, spread_token_starts(g.num_vertices(), k, start_vertex(g, p)),
               make_rule(p.get("rule", "uniform"), g, rng));
         },
-        /*token=*/true);
+        {.token = true});
   // PCF-evolving processes: the incoming graph is the POTENTIAL-edge base;
   // the walker steps on an owned DynamicGraph that starts empty and grows
   // as the PCF schedule (drawn from a child split of the walk stream, so
@@ -174,7 +174,7 @@ void register_builtin_processes(ProcessRegistry& r) {
               g, spread_token_starts(g.num_vertices(), k, start_vertex(g, p)),
               pcf_alpha(p), pcf_time_per_step(g, p), schedule_rng);
         },
-        /*token=*/true);
+        {.token = true});
   r.add("herman", "[--tokens K odd] [--start V]",
         "Herman's protocol: odd tokens on a cycle, pairwise annihilation",
         [](const Graph& g, const ParamMap& p, Rng&) -> std::unique_ptr<WalkProcess> {
@@ -183,7 +183,7 @@ void register_builtin_processes(ProcessRegistry& r) {
           return std::make_unique<HermanRing>(
               g, spread_token_starts(g.num_vertices(), k, start_vertex(g, p)));
         },
-        /*token=*/true);
+        {.token = true});
 }
 
 void register_builtin_generators(GeneratorRegistry& r) {
@@ -192,14 +192,16 @@ void register_builtin_generators(GeneratorRegistry& r) {
           return random_regular_connected(
               static_cast<Vertex>(p.get_u64("n", 10000)),
               static_cast<std::uint32_t>(p.get_u64("r", 4)), rng);
-        });
+        },
+        {.connected = true});
   r.add("regular-pairing", "--n --r",
         "random r-regular (pairing model + edge-swap repair), connected",
         [](const ParamMap& p, Rng& rng) {
           return random_regular_pairing_connected(
               static_cast<Vertex>(p.get_u64("n", 10000)),
               static_cast<std::uint32_t>(p.get_u64("r", 4)), rng);
-        });
+        },
+        {.connected = true});
   r.add("hamunion", "--n --k", "union of k random Hamiltonian cycles",
         [](const ParamMap& p, Rng& rng) {
           return hamiltonian_cycle_union(

@@ -58,25 +58,36 @@ namespace detail {
 template <typename FactoryT>
 class NamedRegistry {
  public:
+  /// Facts about a factory's output, declared at registration so a caller
+  /// can act on them from the name without constructing anything. Each is
+  /// false unless the registration sets it (designated initializers:
+  /// `{.token = true}`).
+  struct Traits {
+    /// Processes only: the factory returns an interacting-token process
+    /// (a TokenProcess), so a run target can be resolved from the name.
+    bool token = false;
+    /// Generators only: the factory proves every graph it returns connected
+    /// before returning it (e.g. by union-find during generation), so
+    /// callers skip their own connectivity BFS.
+    bool connected = false;
+  };
+
   struct Entry {
     std::string name;
     std::string params_help;  ///< e.g. "--rule R --start V"
     std::string summary;      ///< one-line description
     FactoryT factory;
-    /// Processes only: the factory returns an interacting-token process
-    /// (a TokenProcess). Set at registration, so a caller can resolve a run
-    /// target from the name without constructing anything.
-    bool token = false;
+    Traits traits;
   };
 
   void add(std::string name, std::string params_help, std::string summary,
-           FactoryT factory, bool token = false) {
+           FactoryT factory, Traits traits = {}) {
     for (const Entry& e : entries_)
       if (e.name == name)
         throw std::invalid_argument(std::string(kind_) +
                                     " already registered: " + name);
     entries_.push_back(Entry{std::move(name), std::move(params_help),
-                             std::move(summary), std::move(factory), token});
+                             std::move(summary), std::move(factory), traits});
   }
 
   bool contains(const std::string& name) const {
@@ -156,7 +167,7 @@ class ProcessRegistry : public detail::NamedRegistry<RegistryProcessFactory> {
   /// Whether `name` was registered as an interacting-token process (its
   /// create() returns a TokenProcess); throws like create() for unknown
   /// names.
-  bool is_token(const std::string& name) const { return find(name).token; }
+  bool is_token(const std::string& name) const { return find(name).traits.token; }
 
  private:
   ProcessRegistry() : NamedRegistry("--process") {}
@@ -181,6 +192,13 @@ class GeneratorRegistry : public detail::NamedRegistry<GraphGeneratorFactory> {
   /// std::invalid_argument (listing known names) for unknown `name`.
   Graph create(const std::string& name, const ParamMap& params, Rng& rng) const {
     return find(name).factory(params, rng);
+  }
+
+  /// Whether family `name` was registered as connected by construction:
+  /// every graph its factory returns is connected, so the caller's
+  /// is_connected BFS is redundant. Throws like create() for unknown names.
+  bool connected_by_construction(const std::string& name) const {
+    return find(name).traits.connected;
   }
 
  private:

@@ -84,8 +84,9 @@ class Graph {
   /// slot at global index s (slot_index(v, k)) carrying edge e from v to w,
   /// twin(s) is the global index of the slot carrying e in w's row, and
   /// twin(twin(s)) == s. A self-loop's two slots are adjacent in one row
-  /// and twin each other. This is what lets the E-process retire an edge at
-  /// both endpoints without touching any array indexed by edge id.
+  /// and twin each other. BluePartition seeds each record's mate from it,
+  /// which is what lets the E-process retire an edge at both endpoints
+  /// without touching any array indexed by edge id.
   std::uint32_t twin(std::uint32_t s) const noexcept { return twin_[s]; }
 
   Endpoints endpoints(EdgeId e) const noexcept { return edges_[e]; }

@@ -52,6 +52,17 @@ std::vector<std::string> declared_keys(const std::string& params_help) {
 
 }  // namespace
 
+std::shared_ptr<const CachedGraph> CachedGraph::build(const std::string& generator,
+                                                      const ParamMap& params,
+                                                      std::uint64_t seed) {
+  const GeneratorRegistry& generators = GeneratorRegistry::instance();
+  Rng graph_rng(seed);
+  Graph g = generators.create(generator, params, graph_rng);
+  const bool connected =
+      generators.connected_by_construction(generator) || is_connected(g);
+  return std::make_shared<const CachedGraph>(std::move(g), connected);
+}
+
 std::uint64_t CachedGraph::bytes() const noexcept {
   return graph_.bytes() + sizeof(CachedGraph);
 }
@@ -161,12 +172,7 @@ std::shared_ptr<const CachedGraph> GraphStore::acquire(
 
   std::shared_ptr<const CachedGraph> cached;
   try {
-    // The construction the CLI performs, bit for bit: a fresh Rng seeded
-    // with the request seed, handed to the registry factory.
-    Rng graph_rng(seed);
-    Graph g = GeneratorRegistry::instance().create(generator, params, graph_rng);
-    const bool connected = is_connected(g);
-    cached = std::make_shared<CachedGraph>(std::move(g), connected);
+    cached = CachedGraph::build(generator, params, seed);
   } catch (const std::exception& ex) {
     lock.lock();
     build->failed = true;

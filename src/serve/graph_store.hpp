@@ -65,6 +65,14 @@ class CachedGraph {
   CachedGraph(Graph graph, bool connected)
       : graph_(std::move(graph)), connected_(connected) {}
 
+  /// The construction the CLI performs, bit for bit, shared by the store
+  /// and store-less runs: family `generator` built from `params` by a fresh
+  /// Rng(seed). Families registered as connected by construction skip the
+  /// connectivity BFS. Throws what the factory throws.
+  static std::shared_ptr<const CachedGraph> build(const std::string& generator,
+                                                  const ParamMap& params,
+                                                  std::uint64_t seed);
+
   /// The immutable graph every request with this key runs on.
   const Graph& graph() const noexcept { return graph_; }
   /// Whether the graph is connected (decided once, at construction).

@@ -5,7 +5,6 @@
 
 #include "covertime/experiment.hpp"
 #include "engine/registry.hpp"
-#include "graph/algorithms.hpp"
 
 namespace ewalk {
 
@@ -85,11 +84,7 @@ RunResult execute_run(const RunRequest& req, GraphStore* store) {
     if (store != nullptr) {
       cached = store->acquire(req.graph, req.params, req.seed, &cache_hit);
     } else {
-      Rng graph_rng(req.seed);
-      Graph g =
-          GeneratorRegistry::instance().create(req.graph, req.params, graph_rng);
-      const bool connected = is_connected(g);
-      cached = std::make_shared<CachedGraph>(std::move(g), connected);
+      cached = CachedGraph::build(req.graph, req.params, req.seed);
     }
     const Graph& g = cached->graph();
 

@@ -19,6 +19,7 @@
 
 #include "engine/registry.hpp"
 #include "engine/token_process.hpp"
+#include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "serve/graph_store.hpp"
 #include "serve/protocol.hpp"
@@ -554,9 +555,58 @@ TEST(ExecuteRun, RegistryTokenFlagMatchesConstructedProcess) {
   for (const auto& entry : ProcessRegistry::instance().entries()) {
     Rng rng(1);
     const auto process = entry.factory(g, ParamMap{}, rng);
-    EXPECT_EQ(entry.token, dynamic_cast<TokenProcess*>(process.get()) != nullptr)
+    EXPECT_EQ(entry.traits.token, dynamic_cast<TokenProcess*>(process.get()) != nullptr)
         << entry.name;
   }
+}
+
+TEST(ExecuteRun, RegistryConnectedFlagHoldsForEveryFlaggedFamily) {
+  // execute_run and GraphStore trust the flag instead of running a BFS, so
+  // every flagged factory must return a connected graph — including r = 2,
+  // where an unconditioned random regular graph is usually disconnected.
+  std::vector<std::string> flagged;
+  for (const auto& entry : GeneratorRegistry::instance().entries()) {
+    if (!entry.traits.connected) continue;
+    flagged.push_back(entry.name);
+    for (const std::uint32_t n : {3u, 6u, 10u, 50u, 1000u}) {
+      for (const std::uint32_t r : {2u, 3u, 4u}) {
+        if (r >= n || (n * r) % 2 != 0) continue;
+        for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+          Rng rng(seed);
+          const Graph g = entry.factory(
+              ParamMap{{"n", std::to_string(n)}, {"r", std::to_string(r)}}, rng);
+          EXPECT_TRUE(g.is_regular(r));
+          EXPECT_TRUE(is_connected(g))
+              << entry.name << " n=" << n << " r=" << r << " seed=" << seed;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(flagged, (std::vector<std::string>{"regular", "regular-pairing"}));
+}
+
+TEST(ExecuteRun, SkipsConnectivityBfsOnlyForConnectedFamilies) {
+  RunRequest req;
+  req.graph = "regular";
+  req.params = ParamMap{{"n", "200"}, {"r", "4"}};
+  req.process = "srw";
+  req.trials = 1;
+  std::uint64_t before = connectivity_bfs_calls();
+  const RunResult flagged = execute_run(req);
+  ASSERT_TRUE(flagged.ok) << flagged.error;
+  EXPECT_TRUE(flagged.graph->connected());
+  GraphStore store(std::uint64_t{1} << 26);
+  ASSERT_TRUE(execute_run(req, &store).ok);
+  EXPECT_EQ(connectivity_bfs_calls(), before);
+
+  req.graph = "cycle";
+  req.params = ParamMap{{"n", "64"}};
+  before = connectivity_bfs_calls();
+  const RunResult unflagged = execute_run(req);
+  ASSERT_TRUE(unflagged.ok) << unflagged.error;
+  EXPECT_TRUE(unflagged.graph->connected());
+  ASSERT_TRUE(execute_run(req, &store).ok);
+  EXPECT_EQ(connectivity_bfs_calls(), before + 2);
 }
 
 TEST(ExecuteRun, RegistrySuggestionsForGraphFamilies) {

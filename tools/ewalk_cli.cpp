@@ -18,8 +18,8 @@
 // as a table and land in bench_out/SWEEP_cli.{json,csv} — the same
 // machine-readable format the sweep benches emit — so a quick
 // figure-style sweep needs no bench binary:
-//   ewalk --generator regular-pairing --r 4 --process eprocess --sweep \
-//         25000,50000,100000 --trials 5 --threads 0
+//   ewalk --generator regular-pairing --r 4 --process eprocess
+//         --sweep 25000,50000,100000 --trials 5 --threads 0
 //
 // Trials run through the one trial core (run_trial_plan and run_sweep over
 // covertime/experiment.hpp) on the work-stealing Executor: trial t's RNG
