@@ -56,8 +56,13 @@ bool is_connected(const Graph& g) {
 }
 
 bool edge_list_connected(Vertex n, std::span<const Endpoints> edges) {
+  UnionFind uf(0);  // sized by the reset in the overload below
+  return edge_list_connected(n, edges, uf);
+}
+
+bool edge_list_connected(Vertex n, std::span<const Endpoints> edges, UnionFind& uf) {
   if (n <= 1) return true;
-  UnionFind uf(n);
+  uf.reset(n);
   for (const auto& [u, v] : edges) {
     uf.unite(u, v);
     if (uf.components() == 1) return true;  // nothing left to merge

@@ -13,6 +13,7 @@
 
 #include "graph/algorithms.hpp"
 #include "graph/union_find.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ewalk {
 
@@ -331,11 +332,14 @@ class EdgeCountTable {
     counts_.assign(cap, 0);
   }
 
-  /// Paper-scale tables (beyond ~4M slots, i.e. n in the millions) would pin
-  /// hundreds of MB of thread_local storage across the CSR build that
-  /// follows — the dominant term of the generation peak-RSS envelope — so
-  /// they release the backing storage instead of retaining it; sweep-typical
-  /// sizes keep the reuse optimisation.
+  /// Tables above kRetainCap slots (capacity >= 8,388,608, i.e. m above
+  /// ~2.8M edges: n = 1e6 needs r >= 6) would pin hundreds of MB of
+  /// thread_local storage across the CSR build that follows — the dominant
+  /// term of the generation peak-RSS envelope — so they release the backing
+  /// storage instead of retaining it. Smaller tables keep the reuse
+  /// optimisation, the n = 1e6, r = 4 table included: it is exactly
+  /// kRetainCap (4,194,304 slots, 48 MiB of keys and counts) and stays
+  /// pinned per generating thread for the life of the process.
   ~EdgeCountTable() {
     constexpr std::size_t kRetainCap = std::size_t{1} << 22;
     if (mask_ + 1 > kRetainCap) {
@@ -388,6 +392,11 @@ class EdgeCountTable {
   std::vector<std::uint32_t>& counts_;
 };
 
+// Edges per chunk below which the defect scan does not split: smaller
+// scans finish in a few milliseconds, where task hops cost more than they
+// save (the serving mix's graphs all scan on one thread).
+constexpr std::size_t kDefectScanGrain = std::size_t{1} << 18;
+
 // One pairing pass followed by in-place 2-swap repair of the defective
 // (loop/duplicate) edges. Returns nullopt when the repair stalls — a
 // proposal budget guards against dense corner cases (r close to n) where no
@@ -418,9 +427,19 @@ std::optional<std::vector<Endpoints>> pairing_repair_attempt(Vertex n,
   const auto defective = [&](const Endpoints& e) {
     return e.u == e.v || count.count(edge_key(e.u, e.v)) > 1;
   };
-  std::vector<std::size_t> defects;
-  for (std::size_t i = 0; i < m; ++i)
-    if (defective(edges[i])) defects.push_back(i);
+  // The scan only reads the table, so it splits into edge-index chunks on
+  // the Executor; concatenating the chunks in index order gives exactly the
+  // serial list, so the repair below draws the same rng sequence.
+  const std::uint32_t chunks = static_cast<std::uint32_t>(std::clamp<std::size_t>(
+      m / kDefectScanGrain, 1, TaskScope::available_parallelism()));
+  std::vector<std::vector<std::size_t>> found(chunks);
+  fork_join(chunks, [&](std::uint32_t c) {
+    for (std::size_t i = m * c / chunks; i < m * (c + 1) / chunks; ++i)
+      if (defective(edges[i])) found[c].push_back(i);
+  });
+  std::vector<std::size_t> defects = std::move(found[0]);
+  for (std::uint32_t c = 1; c < chunks; ++c)
+    defects.insert(defects.end(), found[c].begin(), found[c].end());
 
   // The expected defect count after one pairing pass is Θ(r²) (independent
   // of n) and each repair accepts with Ω(1) probability on sparse graphs,
@@ -488,13 +507,27 @@ Graph random_regular_pairing_connected(Vertex n, std::uint32_t r, Rng& rng) {
     if (!edges) continue;
     // The swap repair removes edges, so an incrementally-maintained
     // union-find could over-report connectivity; one exact union-find pass
-    // over the final edge list decides the retry the moment repair
-    // finishes — still no BFS and no CSR build on the reject path.
-    if (!edge_list_connected(n, *edges)) {
+    // over the final edge list decides the retry — still no BFS. It runs as
+    // a task alongside the CSR build, reading the very buffer the Graph
+    // adopts (from_edges only reads it, and leaves it with the caller on a
+    // throw). Declared after `g`, the scope drains first on every path, so
+    // the buffer outlives the pass. The union-find is allocated here, so its
+    // pages go back to this thread's allocator arena, not a worker's, and
+    // are reused by the next draw. A disconnected draw discards the graph;
+    // neither side draws from rng, so the retry sequence is the serial one.
+    const std::span<const Endpoints> list(*edges);
+    bool connected = true;
+    UnionFind uf(n);
+    Graph g;
+    TaskScope scope;
+    scope.spawn([n, list, &uf, &connected] { connected = edge_list_connected(n, list, uf); });
+    g = Graph::from_edges(n, std::move(*edges));
+    scope.wait();
+    if (!connected) {
       g_pairing_connectivity_retries.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    return Graph::from_edges(n, std::move(*edges));
+    return g;
   }
 }
 

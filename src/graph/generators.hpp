@@ -128,11 +128,12 @@ Graph random_regular_pairing(Vertex n, std::uint32_t r, Rng& rng);
 /// Like random_regular_pairing but additionally retries until connected
 /// (r >= 3: connected whp, so this rarely loops). The decision comes from a
 /// single union-find pass over the repaired edge list (edge_list_connected)
-/// the moment repair finishes — the swap repair can remove edges, so the
-/// incremental-union shortcut of the Steger–Wormald path would over-report
-/// connectivity here; the edge-list pass is exact, still O(m α(n)), and
-/// still runs before any CSR is built, so rejected attempts never pay a
-/// Graph construction or a BFS.
+/// — the swap repair can remove edges, so the incremental-union shortcut of
+/// the Steger–Wormald path would over-report connectivity here; the
+/// edge-list pass is exact, O(m α(n)), and never a BFS. It runs as a task
+/// alongside the CSR build, so a rejected draw discards a built Graph;
+/// neither side draws from rng, so the graphs and the rng sequence are
+/// those of checking first and building after.
 Graph random_regular_pairing_connected(Vertex n, std::uint32_t r, Rng& rng);
 
 /// Configuration (pairing) model over a fixed degree sequence. When `simple`

@@ -49,11 +49,24 @@ class Graph {
   /// copy, so peak memory during construction is ~1x the edge list instead
   /// of ~2x), counts degrees in a single pass, fills adjacency slots with an
   /// in-place bucket cursor (no per-vertex cursor vector), and folds the
-  /// parallel-edge census into a per-vertex stamp scan (no 8-byte-per-edge
-  /// key vector, no O(m log m) sort). Throws std::invalid_argument on an
-  /// out-of-range endpoint or when 2*edges.size() overflows the 32-bit slot
-  /// index space (the CSR stays valid up to ~4e9 slot endpoints).
+  /// parallel-edge census into a per-row scan (no 8-byte-per-edge key
+  /// vector, no O(m log m) sort). Graphs of at least 2^19 edges split the
+  /// passes into vertex ranges run on the Executor, as many as
+  /// TaskScope::available_parallelism() allows (so `--threads` caps them);
+  /// smaller graphs, and calls made while every thread is busy, build as one
+  /// range on the calling thread. The result is identical for every split.
+  /// Throws std::invalid_argument on an out-of-range endpoint or when
+  /// 2*edges.size() overflows the 32-bit slot index space (the CSR stays
+  /// valid up to ~4e9 slot endpoints); on a throw `edges` still owns its
+  /// buffer, untouched.
   static Graph from_edges(Vertex n, std::vector<Endpoints>&& edges);
+
+  /// from_edges with the number of vertex ranges fixed by the caller
+  /// (0 counts as 1) instead of chosen from the free threads. Range 0 runs
+  /// on the calling thread and the others as Executor tasks; the Graph is
+  /// the same for every count, which is what the tests pin with it.
+  static Graph from_edges_in_ranges(Vertex n, std::vector<Endpoints>&& edges,
+                                    std::uint32_t ranges);
 
   Vertex num_vertices() const noexcept { return n_; }
   EdgeId num_edges() const noexcept { return static_cast<EdgeId>(edges_.size()); }
@@ -111,6 +124,11 @@ class Graph {
 
   bool has_self_loops() const noexcept { return self_loops_ > 0; }
   bool has_parallel_edges() const noexcept { return parallel_edges_ > 0; }
+  /// Number of self-loop edges.
+  std::uint64_t self_loop_count() const noexcept { return self_loops_; }
+  /// Surplus edge copies: k edges joining the same pair (or k loops at one
+  /// vertex) add k-1.
+  std::uint64_t parallel_edge_count() const noexcept { return parallel_edges_; }
   /// Simple == no loops and no parallel edges.
   bool is_simple() const noexcept { return self_loops_ == 0 && parallel_edges_ == 0; }
 

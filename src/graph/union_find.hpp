@@ -76,4 +76,9 @@ class UnionFind {
 /// the BFS check reports.
 bool edge_list_connected(Vertex n, std::span<const Endpoints> edges);
 
+/// edge_list_connected on caller-provided storage: `uf` is reset to n
+/// singletons first. Lets a caller that runs the pass on another thread
+/// allocate the 8 bytes per vertex on its own.
+bool edge_list_connected(Vertex n, std::span<const Endpoints> edges, UnionFind& uf);
+
 }  // namespace ewalk

@@ -5,6 +5,7 @@
 
 #include "covertime/experiment.hpp"
 #include "engine/registry.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ewalk {
 
@@ -79,13 +80,22 @@ RunResult execute_run(const RunRequest& req, GraphStore* store) {
     ProcessRegistry::instance().at(req.process);
     GeneratorRegistry::instance().at(req.graph);
 
+    // The graph is built on this thread as a member of a scope capped at
+    // req.threads, so a build that splits across the Executor
+    // (Graph::from_edges, the generators' overlapped passes) counts against
+    // --threads like the trials do. Inside ewalkd this scope nests under
+    // the server's.
     std::shared_ptr<const CachedGraph> cached;
     bool cache_hit = false;
-    if (store != nullptr) {
-      cached = store->acquire(req.graph, req.params, req.seed, &cache_hit);
-    } else {
-      cached = CachedGraph::build(req.graph, req.params, req.seed);
-    }
+    TaskScope build_scope(req.threads == 0 ? Executor::hardware_threads()
+                                           : req.threads);
+    build_scope.run_inline([&] {
+      if (store != nullptr) {
+        cached = store->acquire(req.graph, req.params, req.seed, &cache_hit);
+      } else {
+        cached = CachedGraph::build(req.graph, req.params, req.seed);
+      }
+    });
     const Graph& g = cached->graph();
 
     // Resolve the target from the registry's token flag: token processes

@@ -274,6 +274,33 @@ void TaskScope::wait() {
   }
 }
 
+void TaskScope::run_inline(const std::function<void()>& fn) {
+  // Scope exit, also on a throw: leave the scope stack and hand the token
+  // back, exactly as Executor::run_taken does after a task.
+  struct Member {
+    TaskScope& scope;
+    bool entered;
+    ~Member() {
+      tl_scope_stack.pop_back();
+      if (entered) scope.root_->exit_token();
+    }
+  };
+  const bool enter = !Executor::this_thread_in_root(root_);
+  if (enter) root_->active_.fetch_add(1, std::memory_order_acq_rel);
+  tl_scope_stack.push_back(this);
+  const Member member{*this, enter};
+  fn();
+}
+
+std::uint32_t TaskScope::available_parallelism() noexcept {
+  const std::uint32_t concurrency = Executor::instance().concurrency();
+  if (tl_scope_stack.empty()) return concurrency;
+  const TaskScope* root = tl_scope_stack.back()->root_;
+  const std::uint32_t active = root->active_.load(std::memory_order_relaxed);
+  const std::uint32_t spare = root->cap_ > active ? root->cap_ - active : 0;
+  return std::min(concurrency, 1 + spare);
+}
+
 void TaskScope::record_error(std::exception_ptr error) {
   {
     std::lock_guard<std::mutex> lock(error_mutex_);

@@ -168,6 +168,23 @@ class TaskScope {
   /// The scope is reusable after a wait() that returns normally.
   void wait();
 
+  /// Runs fn on the calling thread as a task of this scope: scopes that fn
+  /// opens nest under this one, so their tasks count against the root's
+  /// admission cap, and the calling thread itself holds one of the root's
+  /// tokens while fn runs (none if it already works inside this scope
+  /// tree). Unlike spawn + wait, fn never moves to another thread, which
+  /// keeps a caller's thread_local state (the generators' reused tables)
+  /// on the caller. Exceptions propagate to the caller.
+  void run_inline(const std::function<void()>& fn);
+
+  /// Threads a scope opened on the calling thread could run on right now,
+  /// the caller included: inside a task, 1 plus the admission tokens its
+  /// root scope has left (so `--threads` bounds it); outside any task, the
+  /// executor's concurrency. Never more than the executor's concurrency,
+  /// never 0. A sizing hint for how finely to split work — it can change
+  /// the moment it is read, so results must never depend on it.
+  static std::uint32_t available_parallelism() noexcept;
+
  private:
   friend class Executor;
 
@@ -185,6 +202,21 @@ class TaskScope {
   std::mutex error_mutex_;
   std::exception_ptr error_;
 };
+
+/// Runs fn(p) for every p < parts as one fork-join: part 0 on the calling
+/// thread, the others as tasks of a TaskScope. One part spawns nothing. An
+/// exception from a part is rethrown once every spawned part has finished.
+template <class Fn>
+void fork_join(std::uint32_t parts, const Fn& fn) {
+  if (parts <= 1) {
+    fn(std::uint32_t{0});
+    return;
+  }
+  TaskScope scope;
+  for (std::uint32_t p = 1; p < parts; ++p) scope.spawn([&fn, p] { fn(p); });
+  fn(std::uint32_t{0});
+  scope.wait();
+}
 
 /// Map a user-facing `--threads` request onto this machine: 0 means all
 /// hardware threads; values above hardware_threads() clamp down (set

@@ -102,6 +102,43 @@ TEST(TaskScope, AdmissionCapBoundsConcurrency) {
   EXPECT_GE(peak.load(), 1);
 }
 
+TEST(TaskScope, RunInlineStaysOnCallerAndNestsUnderTheCap) {
+  // run_inline keeps fn on the calling thread, holds one of the root's
+  // tokens for it, and makes scopes fn opens count against the root's cap.
+  const std::thread::id caller = std::this_thread::get_id();
+  EXPECT_EQ(TaskScope::available_parallelism(),
+            Executor::instance().concurrency());
+  std::atomic<int> running{0};
+  std::atomic<int> peak{0};
+  TaskScope root(/*max_parallelism=*/2);
+  root.run_inline([&] {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_EQ(TaskScope::available_parallelism(), 2u);  // the caller + 1 token
+    TaskScope inner;
+    for (int i = 0; i < 24; ++i)
+      inner.spawn([&] {
+        const int now = running.fetch_add(1, std::memory_order_acq_rel) + 1;
+        int seen = peak.load(std::memory_order_relaxed);
+        while (now > seen &&
+               !peak.compare_exchange_weak(seen, now, std::memory_order_acq_rel)) {
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        running.fetch_sub(1, std::memory_order_acq_rel);
+      });
+    inner.wait();
+  });
+  // The caller's token counts: fn plus the inner tasks never exceed 2.
+  EXPECT_LE(peak.load(), 2);
+  EXPECT_GE(peak.load(), 1);
+
+  // A throw leaves the scope and hands the token back.
+  EXPECT_THROW(root.run_inline([] { throw std::runtime_error("inline boom"); }),
+               std::runtime_error);
+  root.run_inline([] { EXPECT_EQ(TaskScope::available_parallelism(), 2u); });
+  EXPECT_EQ(TaskScope::available_parallelism(),
+            Executor::instance().concurrency());
+}
+
 TEST(TaskScope, FirstExceptionPropagatesAndSkipsUnstartedTasks) {
   // cap = 1 serialises execution in spawn (FIFO) order: tasks 0..3 run,
   // task 3 throws, tasks 4+ are skipped but still counted complete.

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <memory>
 #include <tuple>
 #include <vector>
@@ -13,10 +14,20 @@
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "graph/union_find.hpp"
+#include "test_graphs.hpp"
 #include "walks/rules.hpp"
 
 namespace ewalk {
 namespace {
+
+// Give the Executor four workers even on single-core CI runners, so the
+// overlapped connectivity pass and split builds run on real worker threads.
+// Runs before main(), i.e. before the first Executor::instance() call in
+// this binary; an explicit EWALK_WORKERS in the environment wins.
+const bool kWorkersEnvSet = [] {
+  setenv("EWALK_WORKERS", "4", /*overwrite=*/0);
+  return true;
+}();
 
 TEST(Deterministic, CycleGraph) {
   const Graph g = cycle_graph(7);
@@ -439,6 +450,50 @@ TEST(GenerationCounters, ConnectedGeneratorsNeverCallBfs) {
   const GenerationCounters gc = generation_counters();
   EXPECT_GE(gc.pairing_attempts, 3u);
   EXPECT_GE(gc.sw_attempts, 3u);
+}
+
+TEST(GenerationCounters, OverlappedConnectivityMatchesSerialRetryOrder) {
+  // random_regular_pairing_connected runs its exact connectivity pass as a
+  // task alongside the CSR build and discards a disconnected graph. The
+  // serial order it must reproduce: draw a pairing graph, keep it if
+  // connected, else draw again from the same rng. r = 2 (unions of cycles)
+  // makes disconnected draws common at small n; the n = 2^18, r = 4 case is
+  // large enough for the build to split into ranges.
+  struct Case {
+    Vertex n;
+    std::uint32_t r;
+    std::uint64_t seed;
+  };
+  std::vector<Case> cases;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) cases.push_back({24, 2, seed});
+  cases.push_back({262144, 4, 3});
+  std::uint64_t total_retries = 0;
+  for (const Case& c : cases) {
+    reset_generation_counters();
+    const std::uint64_t bfs_before = connectivity_bfs_calls();
+    Rng rng(c.seed);
+    const Graph overlapped = random_regular_pairing_connected(c.n, c.r, rng);
+    EXPECT_EQ(connectivity_bfs_calls(), bfs_before) << "seed " << c.seed;
+    const GenerationCounters got = generation_counters();
+
+    reset_generation_counters();
+    Rng serial_rng(c.seed);
+    std::uint64_t serial_retries = 0;
+    Graph serial = random_regular_pairing(c.n, c.r, serial_rng);
+    while (!is_connected(serial)) {
+      ++serial_retries;
+      serial = random_regular_pairing(c.n, c.r, serial_rng);
+    }
+    const GenerationCounters want = generation_counters();
+
+    EXPECT_EQ(test::csr_hash(overlapped), test::csr_hash(serial))
+        << "n " << c.n << " seed " << c.seed;
+    EXPECT_EQ(got.pairing_attempts, want.pairing_attempts) << "seed " << c.seed;
+    EXPECT_EQ(got.pairing_connectivity_retries, serial_retries) << "seed " << c.seed;
+    EXPECT_EQ(rng.next_u64(), serial_rng.next_u64()) << "seed " << c.seed;
+    total_retries += serial_retries;
+  }
+  EXPECT_GT(total_retries, 0u) << "no case exercised the discard-and-retry path";
 }
 
 TEST(GenerationCounters, ConnectedVariantsRejectUncoverableDegreeZero) {

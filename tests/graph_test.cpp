@@ -2,11 +2,15 @@
 // integrity, basic algorithms, and serialisation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <span>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "engine/registry.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/dynamic_graph.hpp"
 #include "graph/graph.hpp"
@@ -17,6 +21,15 @@
 
 namespace ewalk {
 namespace {
+
+// Give the Executor four workers even on single-core CI runners, so the
+// split builds below run their ranges on real worker threads. Runs before
+// main(), i.e. before the first Executor::instance() call in this binary;
+// an explicit EWALK_WORKERS in the environment wins.
+const bool kWorkersEnvSet = [] {
+  setenv("EWALK_WORKERS", "4", /*overwrite=*/0);
+  return true;
+}();
 
 Graph triangle() {
   GraphBuilder b(3);
@@ -216,6 +229,123 @@ TEST(Graph, TwinInvariantsOnFrozenDynamicGraph) {
   const Graph g = d.freeze();
   ASSERT_TRUE(g.has_self_loops());
   expect_twin_invariants(g);
+}
+
+std::vector<Endpoints> edge_list(const Graph& g) {
+  std::vector<Endpoints> edges;
+  for (EdgeId e = 0; e < g.num_edges(); ++e) edges.push_back(g.endpoints(e));
+  return edges;
+}
+
+void expect_same_graph(const Graph& expected, const Graph& actual,
+                       const std::string& what) {
+  const std::vector<std::uint64_t> a = test::csr_words(expected);
+  const std::vector<std::uint64_t> b = test::csr_words(actual);
+  ASSERT_EQ(a.size(), b.size()) << what;
+  const auto diff = std::mismatch(a.begin(), a.end(), b.begin());
+  EXPECT_TRUE(diff.first == a.end())
+      << what << ": first differing csr word " << (diff.first - a.begin());
+}
+
+// Graphs every split must build identically: multigraphs (self-loops in
+// mid-row and heading their rows, parallel edges both ways round, a row long
+// enough for the census to sort), isolated vertices, empty graphs, and a
+// paper-style random 4-regular graph.
+std::vector<std::pair<std::string, Graph>> split_inputs() {
+  std::vector<std::pair<std::string, Graph>> inputs;
+  inputs.emplace_back("messy_multigraph", test::messy_multigraph());
+
+  GraphBuilder loops_first(12);
+  for (Vertex v = 0; v < 12; v += 2) loops_first.add_edge(v, v);
+  for (Vertex v = 0; v < 12; v += 4) loops_first.add_edge(v, v);
+  for (Vertex v = 0; v < 12; ++v) loops_first.add_edge(v, (v + 1) % 12);
+  loops_first.add_edge(5, 6);
+  loops_first.add_edge(6, 5);
+  inputs.emplace_back("loops_first", std::move(loops_first).build());
+
+  GraphBuilder long_row(50);
+  for (Vertex v = 1; v < 50; ++v) long_row.add_edge(0, v);
+  for (int k = 0; k < 3; ++k) long_row.add_edge(1, 0);
+  for (int k = 0; k < 3; ++k) long_row.add_edge(0, 0);
+  inputs.emplace_back("long_row", std::move(long_row).build());
+
+  GraphBuilder isolated(1000);
+  for (Vertex v = 0; v < 10; ++v) isolated.add_edge(v, (v + 3) % 10);
+  inputs.emplace_back("isolated", std::move(isolated).build());
+
+  inputs.emplace_back("empty", Graph::from_edges(0, std::vector<Endpoints>{}));
+  inputs.emplace_back("edgeless", Graph::from_edges(5, std::vector<Endpoints>{}));
+
+  Rng rng(2024);
+  inputs.emplace_back("pairing_200000_4", random_regular_pairing(200000, 4, rng));
+  return inputs;
+}
+
+TEST(Graph, CensusCountsLoopsHeadingRowsAndLongRows) {
+  const auto inputs = split_inputs();
+  const Graph& loops_first = inputs[1].second;
+  EXPECT_EQ(loops_first.self_loop_count(), 9u);
+  EXPECT_EQ(loops_first.parallel_edge_count(), 5u);  // 3 doubled loops + {5,6} x3
+  EXPECT_EQ(loops_first.slot(0, 0).neighbor, 0u);  // the loops head row 0
+  const Graph& long_row = inputs[2].second;
+  EXPECT_EQ(long_row.degree(0), 49u + 3u + 6u);
+  EXPECT_EQ(long_row.self_loop_count(), 3u);
+  EXPECT_EQ(long_row.parallel_edge_count(), 3u + 2u);
+}
+
+TEST(Graph, EverySplitBuildsTheSameGraph) {
+  // from_edges splits large builds into vertex ranges on the Executor; the
+  // arrays must not depend on how many ranges ran, nor on which threads.
+  for (const auto& [name, ref] : split_inputs()) {
+    const Vertex n = ref.num_vertices();
+    expect_same_graph(ref, Graph::from_edges_in_ranges(n, edge_list(ref), 1),
+                      name + " ranges=1");
+    for (const std::uint32_t ranges : {2u, 3u, 7u})
+      expect_same_graph(ref, Graph::from_edges_in_ranges(n, edge_list(ref), ranges),
+                        name + " ranges=" + std::to_string(ranges));
+  }
+}
+
+TEST(Graph, SplitBuildKeepsErrorTextAndLeavesEdgesWithCaller) {
+  for (const std::uint32_t ranges : {1u, 2u, 3u, 7u}) {
+    std::vector<Endpoints> bad = {{0, 1}, {1, 2}, {2, 9}, {0, 2}};
+    try {
+      Graph::from_edges_in_ranges(3, std::move(bad), ranges);
+      ADD_FAILURE() << "no throw at ranges=" << ranges;
+    } catch (const std::invalid_argument& ex) {
+      EXPECT_STREQ(ex.what(), "Graph::from_edges: endpoint out of range");
+    }
+    EXPECT_EQ(bad.size(), 4u) << "the edge list left the caller on a throw";
+  }
+}
+
+TEST(Graph, GeneratedCsrMatchesGoldenHashes) {
+  // Hashes of csr_words recorded with the single-pass serial build, before
+  // the build was split into vertex ranges. Rebuilding each edge list at
+  // several range counts must reproduce them too.
+  struct Case {
+    const char* generator;
+    ParamMap params;
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  const std::vector<Case> cases = {
+      {"regular-pairing", ParamMap{{"n", "200000"}, {"r", "4"}}, 1, 0x1ece271990fc9eddull},
+      {"regular-pairing", ParamMap{{"n", "200000"}, {"r", "4"}}, 7, 0x85585594ab81af19ull},
+      {"regular", ParamMap{{"n", "50000"}, {"r", "3"}}, 1, 0x97ff82969e4dbb32ull},
+      {"hamunion", ParamMap{{"n", "50000"}, {"k", "3"}}, 1, 0x42010f7bbecc52ccull},
+      {"erdosrenyi", ParamMap{{"n", "20000"}, {"p", "0.0005"}}, 1, 0x7838029df13b7eeeull},
+  };
+  for (const Case& c : cases) {
+    Rng rng(c.seed);
+    const Graph g = GeneratorRegistry::instance().create(c.generator, c.params, rng);
+    EXPECT_EQ(test::csr_hash(g), c.hash) << c.generator << " seed " << c.seed;
+    for (const std::uint32_t ranges : {2u, 3u, 7u})
+      EXPECT_EQ(test::csr_hash(Graph::from_edges_in_ranges(g.num_vertices(),
+                                                           edge_list(g), ranges)),
+                c.hash)
+          << c.generator << " seed " << c.seed << " ranges=" << ranges;
+  }
 }
 
 TEST(GraphBuilder, BuildTwiceFromLvalueThenMoveFromRvalue) {

@@ -77,7 +77,10 @@ void print_help() {
       "             [--sweep n1,n2,...] [--max-trials M] [--ci-width W]\n"
       "             [--bundle W]\n"
       "       (--walk is a synonym for --process, --generator for --graph;\n"
-      "        --threads 0 = all hardware threads, values above hardware are\n"
+      "        --threads T caps every thread a run uses: its trials and its\n"
+      "        graph build (large graphs build their CSR in vertex ranges\n"
+      "        and check connectivity alongside; the graph is identical for\n"
+      "        any T); 0 = all hardware threads, values above hardware are\n"
       "        clamped with a warning; --pin pins scheduler workers to CPUs\n"
       "        (Linux only, rejected elsewhere); --sweep sweeps --n over the\n"
       "        listed sizes via the sweep driver and writes\n"
